@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .config import load_preset
 from .topology import (
     Device,
@@ -232,10 +230,18 @@ class GridSpec:
     proc_steps: int = 21
 
     def __post_init__(self) -> None:
-        if not (self.rate_max > 0 and self.proc_max > 0):
-            raise ValueError(f"grid ranges must be positive, got rate_max={self.rate_max}, proc_max={self.proc_max}")
+        if not (0 < self.rate_max < math.inf and 0 < self.proc_max < math.inf):
+            raise ValueError(f"grid ranges must be positive and finite, got rate_max={self.rate_max}, proc_max={self.proc_max}")
         if self.rate_steps < 2 or self.proc_steps < 2:
             raise ValueError("grid needs at least 2 samples per axis")
+
+
+def _anchor(workload: WorkloadProfile) -> float:
+    """The endpoint-tier processing time the heatmap's y axis scales."""
+    anchor = workload.proc_on("endpoint")
+    if anchor <= 0:
+        raise ValueError("heatmap scaling needs a positive endpoint processing time in the base workload")
+    return anchor
 
 
 def classify_at(workload: WorkloadProfile, family: DeploymentFamily, rate: float, proc: float,
@@ -243,10 +249,7 @@ def classify_at(workload: WorkloadProfile, family: DeploymentFamily, rate: float
     """Classify one (rate, processing-time) point.  ``proc`` is the
     endpoint-tier seconds per element; every other tier's processing time is
     scaled by the same factor relative to ``workload``."""
-    anchor = workload.proc_on("endpoint")
-    if anchor <= 0:
-        raise ValueError("heatmap scaling needs a positive endpoint processing time in the base workload")
-    scaled = workload.scale_proc(proc / anchor).with_rate(rate)
+    scaled = workload.scale_proc(proc / _anchor(workload)).with_rate(rate)
     return classify(scaled, family, policy)
 
 
@@ -273,13 +276,62 @@ class HeatmapGrid:
         return "\n".join(lines) + "\n"
 
 
+def _linspace(stop: float, num: int) -> tuple[float, ...]:
+    """``num`` evenly spaced samples from 0 to ``stop`` inclusive, bit for bit
+    the values of ``numpy.linspace(0.0, stop, num)``."""
+    stop = float(stop)
+    div = num - 1
+    step = stop / div
+    if step == 0:  # the step underflowed: scale the fractions instead
+        head = [i / div * stop for i in range(div)]
+    else:
+        head = [i * step for i in range(div)]
+    return (*head, stop)
+
+
 def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily,
             policy: PlacementPolicy = DEFAULT_POLICY) -> HeatmapGrid:
-    """Classify every point of the sampling grid."""
-    rates = tuple(float(r) for r in np.linspace(0.0, spec.rate_max, spec.rate_steps))
-    procs = tuple(float(t) for t in np.linspace(0.0, spec.proc_max, spec.proc_steps))
-    cells = tuple(
-        tuple(classify_at(workload, family, rate, proc, policy) for rate in rates)
-        for proc in procs
-    )
-    return HeatmapGrid(rates=rates, proc_times=procs, cells=cells)
+    """Classify every point of the sampling grid.
+
+    Every cell gets the class ``classify_at`` gives it: the grid evaluates the
+    same float expressions in the same order, but computes the conditions
+    that depend on the rate alone once per column and the scaled processing
+    times once per row.  Unlike ``classify_at``, a tier the family offers
+    with no processing time in ``workload`` is rejected up front, even where
+    an earlier placement would have been viable.
+    """
+    rates = _linspace(spec.rate_max, spec.rate_steps)
+    procs = _linspace(spec.proc_max, spec.proc_steps)
+    anchor = _anchor(workload)
+
+    endpoint = family.endpoint
+    pre_capacity = capacity_of(endpoint)
+    pre_fits = [workload.pre_time * rate <= pre_capacity for rate in rates]
+    # (label, unscaled seconds per element, endpoints per worker, capacity,
+    # per-column result of the rate-only conditions), in policy order
+    placements = []
+    for placement in policy.order:
+        option = family.options.get(placement)
+        if option is not None:
+            throughput = option.link.throughput_mbit
+            fits = [pre and rate * workload.element_size <= throughput for pre, rate in zip(pre_fits, rates)]
+            placements.append((placement, workload.proc_on(option.worker.tier), option.endpoints_per_worker,
+                               capacity_of(option.worker), fits))
+        elif placement == "endpoint":
+            # local demand is proc * rate; times 1 leaves every float as it is
+            placements.append((placement, workload.proc_on(endpoint.tier), 1, pre_capacity, [True] * len(rates)))
+
+    cells = []
+    for proc in procs:
+        factor = proc / anchor
+        row_checks = [(label, base * factor, n, capacity, fits) for label, base, n, capacity, fits in placements]
+        row = []
+        for j, rate in enumerate(rates):
+            for label, scaled, n, capacity, fits in row_checks:
+                if fits[j] and scaled * rate * n <= capacity:
+                    row.append(label)
+                    break
+            else:
+                row.append(NOT_VIABLE)
+        cells.append(tuple(row))
+    return HeatmapGrid(rates=rates, proc_times=procs, cells=tuple(cells))

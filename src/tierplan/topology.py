@@ -11,6 +11,7 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 from .config import DeploymentConfig, PlanError, TierPair, pair_key, worker_plan
@@ -99,11 +100,14 @@ class Topology:
     assignment: Mapping[str, tuple[str, ...]]  # worker id -> source ids
     endpoints_per_worker: int
 
+    @cached_property
+    def _devices_by_id(self) -> dict[str, Device]:
+        # reversed, so a repeated id resolves to its first device
+        return {d.id: d for d in reversed(self.devices)}
+
     def device(self, device_id: str) -> Device:
-        for dev in self.devices:
-            if dev.id == device_id:
-                return dev
-        raise KeyError(device_id)
+        """The device with this id; KeyError if there is none."""
+        return self._devices_by_id[device_id]
 
     @property
     def workers(self) -> tuple[Device, ...]:
@@ -156,7 +160,7 @@ def build_topology(config: DeploymentConfig) -> Topology:
         raise TopologyError(f"no positive throughput entry for the {link_name} link")
 
     devices: list[Device] = []
-    worker_ids: list[str] = []
+    workers: list[Device] = []
     source_ids: list[str] = []
     for tier in ("cloud", "edge", "endpoint"):
         count = config.devices(tier)
@@ -174,17 +178,18 @@ def build_topology(config: DeploymentConfig) -> Topology:
                 role = "source"
             else:
                 role = "controller"
-            devices.append(Device(device_id, tier, cores, quota, role))
+            device = Device(device_id, tier, cores, quota, role)
+            devices.append(device)
             if role == "worker":
-                worker_ids.append(device_id)
+                workers.append(device)
             elif role == "source":
                 source_ids.append(device_id)
 
-    for worker_id in worker_ids:
-        worker = next(d for d in devices if d.id == worker_id)
+    for worker in workers:
         if capacity_of(worker) <= 0:
-            raise TopologyError(f"worker {worker_id} has no capacity (cores {worker.cores}, quota {worker.quota})")
+            raise TopologyError(f"worker {worker.id} has no capacity (cores {worker.cores}, quota {worker.quota})")
 
+    worker_ids = [worker.id for worker in workers]
     assignment: dict[str, list[str]] = {wid: [] for wid in worker_ids}
     for j, source_id in enumerate(source_ids):
         assignment[worker_ids[j % len(worker_ids)]].append(source_id)

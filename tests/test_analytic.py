@@ -243,6 +243,10 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             GridSpec(proc_max=-1.0)
         with pytest.raises(ValueError):
+            GridSpec(rate_max=math.inf)
+        with pytest.raises(ValueError):
+            GridSpec(proc_max=math.inf)
+        with pytest.raises(ValueError):
             GridSpec(rate_steps=1)
 
     def test_grid_shape_and_axes(self):

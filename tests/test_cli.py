@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tierplan
 from tierplan.cli import EXIT_ARGUMENT, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from tierplan.schemas import (
     COMPARE_OUTPUT_SCHEMA,
@@ -149,8 +154,25 @@ class TestHeatmap:
         assert payload["grid"]["cells"][1][1] == "not-viable"
 
     def test_zero_rmax_is_an_argument_error(self, capsys):
-        code, _, err = run(capsys, "heatmap", "--rmax", "0")
-        assert code == EXIT_ARGUMENT
+        for rmax in ("0", "inf"):
+            code, _, err = run(capsys, "heatmap", "--rmax", rmax)
+            assert code == EXIT_ARGUMENT, rmax
+
+    def test_cli_does_not_import_numpy(self):
+        """The CLI needs only the standard library; importing numpy would
+        add its import time and memory to every command."""
+        script = (
+            "import contextlib, io, sys\n"
+            "import tierplan.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = tierplan.cli.main(['heatmap', '--json', '--resolution', '3'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        package_root = str(Path(tierplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"

@@ -1,13 +1,30 @@
 """Randomized invariants: viability monotonicity, load linearity, config
-roundtrips, simulation determinism, latency identity, element conservation."""
+roundtrips, simulation determinism, latency identity, element conservation,
+and the heatmap grid agreeing with the scalar classifier cell by cell."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from tierplan.analytic import local_viability, offload_viability, system_load
+from tierplan.analytic import (
+    PLACEMENTS,
+    DeploymentFamily,
+    GridSpec,
+    OffloadOption,
+    PlacementPolicy,
+    _linspace,
+    classify_at,
+    family_from_topology,
+    heatmap,
+    local_viability,
+    offload_viability,
+    reference_family,
+    system_load,
+)
 from tierplan.config import (
     BenchmarkConfig,
     DeploymentConfig,
@@ -18,7 +35,7 @@ from tierplan.config import (
     validate,
 )
 from tierplan.simulator import SimParams, simulate
-from tierplan.topology import Device, Link, WorkloadProfile, build_topology
+from tierplan.topology import Device, Link, WorkloadProfile, build_topology, local_topology
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -247,3 +264,92 @@ class TestSimulationProperties:
         assert report.measured <= report.completed <= report.generated
         for rec in report.elements:
             assert rec.propagation >= 0.0
+
+
+# Positive finite floats down to the smallest subnormal and up to the largest
+# double, mixed with ordinary magnitudes so most grids have mixed classes.
+positive = st.floats(min_value=0.0, exclude_min=True, **finite)
+magnitudes = st.one_of(st.floats(min_value=0.01, max_value=100.0, **finite), positive)
+nonnegative = st.one_of(st.just(0.0), magnitudes)
+grid_specs = st.builds(
+    GridSpec, rate_max=magnitudes, proc_max=magnitudes,
+    rate_steps=st.integers(min_value=2, max_value=9), proc_steps=st.integers(min_value=2, max_value=9),
+)
+grid_workloads = st.builds(
+    lambda endpoint, edge, cloud, pre, size: WorkloadProfile(
+        proc_time={"endpoint": endpoint, "edge": edge, "cloud": cloud},
+        pre_time=pre, rate=5.0, element_size=size,
+    ),
+    magnitudes, nonnegative, nonnegative, nonnegative, nonnegative,
+)
+policies = st.sampled_from([PlacementPolicy(order) for order in itertools.permutations(PLACEMENTS)])
+GRID_FAMILIES = {
+    "reference": reference_family(),
+    "local-only": family_from_topology(local_topology(4)),
+    **{name: family_from_topology(topology) for name, topology in PRESET_TOPOLOGIES.items()},
+}
+
+
+@st.composite
+def tied_cases(draw):
+    """A grid, a workload and a one-option family in which one sampled cell
+    sits exactly on one condition's boundary: demand equals capacity, a load
+    of exactly 100%, which passes."""
+    spec = draw(grid_specs)
+    workload = draw(grid_workloads)
+    rate = draw(st.sampled_from(_linspace(spec.rate_max, spec.rate_steps)))
+    proc = draw(st.sampled_from(_linspace(spec.proc_max, spec.proc_steps)))
+    endpoints = draw(cardinalities)
+    factor = proc / workload.proc_on("endpoint")
+    demand = {  # the scalar path's expressions, in its evaluation order
+        "local": workload.proc_on("endpoint") * factor * rate,
+        "worker": workload.proc_on("edge") * factor * rate * endpoints,
+        "preprocess": workload.pre_time * rate,
+        "bandwidth": rate * workload.element_size,
+    }
+    tie = draw(st.sampled_from(sorted(demand)))
+
+    def capacity(*conditions):
+        return demand[tie] if tie in conditions else draw(nonnegative)
+
+    endpoint = Device("endpoint-0", "endpoint", 1, capacity("local", "preprocess"), "source")
+    worker = Device("edge-0", "edge", 1, capacity("worker"), "worker")
+    link = Link(tier_pair("edge", "endpoint"), 1.0, 0.0, capacity("bandwidth"))
+    family = DeploymentFamily(endpoint=endpoint, options={"edge": OffloadOption(worker, endpoints, link)})
+    return spec, workload, family
+
+
+def assert_grid_matches_scalar_path(spec, workload, family, policy):
+    grid = heatmap(spec, workload, family, policy)
+    assert grid.rates == _linspace(spec.rate_max, spec.rate_steps)
+    assert grid.proc_times == _linspace(spec.proc_max, spec.proc_steps)
+    for i, proc in enumerate(grid.proc_times):
+        for j, rate in enumerate(grid.rates):
+            assert grid.cells[i][j] == classify_at(workload, family, rate, proc, policy), (i, j)
+
+
+class TestHeatmapMatchesScalarPath:
+    """Every grid cell gets exactly the class ``classify_at`` gives it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_specs, grid_workloads, st.sampled_from(sorted(GRID_FAMILIES)), policies)
+    def test_preset_families(self, spec, workload, family_name, policy):
+        assert_grid_matches_scalar_path(spec, workload, GRID_FAMILIES[family_name], policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_cases(), policies)
+    def test_loads_of_exactly_100_percent(self, case, policy):
+        assert_grid_matches_scalar_path(*case, policy)
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive, st.integers(min_value=2, max_value=300))
+    def test_linspace_matches_numpy(self, stop, num):
+        np = pytest.importorskip("numpy")
+        with np.errstate(over="ignore"):  # numpy computes, then overwrites, an overflowing last sample
+            expected = np.linspace(0.0, stop, num)
+        assert _linspace(stop, num) == tuple(expected.tolist())
+
+    def test_linspace_matches_numpy_when_the_step_underflows(self):
+        np = pytest.importorskip("numpy")
+        assert 5e-324 / 200 == 0
+        assert _linspace(5e-324, 201) == tuple(np.linspace(0.0, 5e-324, 201).tolist())
