@@ -8,7 +8,7 @@ pipeline_trace.csv for inspection.
 from pathlib import Path
 
 from tierplan.config import load_preset
-from tierplan.simulator import SimParams, latency_breakdown, simulate, write_trace_csv
+from tierplan.simulator import SimParams, simulate, write_trace_csv
 from tierplan.topology import DEFAULT_WORKLOAD, build_topology
 
 
@@ -22,12 +22,11 @@ def main() -> None:
           f"{report.measured} measured after warmup")
     print(f"throughput: {report.throughput_eps:.1f} elements/s\n")
 
-    breakdown = latency_breakdown(report)
     print(f"mean end-to-end latency: {report.latency_mean_s * 1000:7.1f} ms "
           f"(sd {report.latency_sd_s * 1000:.1f} ms)")
-    print(f"  communication          {breakdown.communication_s * 1000:7.1f} ms")
-    print(f"  compute                {breakdown.compute_s * 1000:7.1f} ms")
-    print(f"  queueing               {breakdown.queueing_s * 1000:7.1f} ms\n")
+    print(f"  communication          {report.communication_mean_s * 1000:7.1f} ms")
+    print(f"  compute                {report.compute_mean_s * 1000:7.1f} ms")
+    print(f"  queueing               {report.queueing_mean_s * 1000:7.1f} ms\n")
 
     print("per-worker measured load (analytic prediction: 93.3%):")
     for worker_id, load in report.worker_load_percent.items():

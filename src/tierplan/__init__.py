@@ -59,12 +59,10 @@ from .analytic import (
     system_load,
 )
 from .simulator import (
+    MAX_ELEMENTS,
     ElementRecord,
-    LatencyBreakdown,
     SimParams,
     SimReport,
-    latency_breakdown,
-    measured_load,
     simulate,
     write_trace_csv,
 )

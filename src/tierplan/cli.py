@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -85,8 +86,8 @@ def _load_target(target: str) -> tuple[DeploymentConfig, str | None]:
 
 
 def _nonnegative(value: float | None, flag: str) -> float | None:
-    if value is not None and not value >= 0:
-        raise CliError(EXIT_ARGUMENT, f"{flag} must be non-negative, got {value}")
+    if value is not None and not (value >= 0 and math.isfinite(value)):
+        raise CliError(EXIT_ARGUMENT, f"{flag} must be finite and non-negative, got {value}")
     return value
 
 
@@ -238,12 +239,15 @@ def cmd_heatmap(args) -> int:
             raise CliError(EXIT_CONFIG, str(exc)) from None
     workload = _resolve_workload(args, config)
 
-    grid = heatmap(spec, workload, family)
-    markers = [
-        {"label": label, "rate_hz": rate, "proc_s": proc,
-         "class": classify_at(workload, family, rate, proc)}
-        for label, rate, proc in REFERENCE_MARKERS
-    ]
+    try:
+        grid = heatmap(spec, workload, family)
+        markers = [
+            {"label": label, "rate_hz": rate, "proc_s": proc,
+             "class": classify_at(workload, family, rate, proc)}
+            for label, rate, proc in REFERENCE_MARKERS
+        ]
+    except ValueError as exc:
+        raise CliError(EXIT_ARGUMENT, str(exc)) from None
     manifest = _manifest(
         "heatmap", preset=preset, config=config,
         config_text=None if config is not None else "reference family",
@@ -270,14 +274,12 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_CONFIG, str(exc)) from None
     workload = _resolve_workload(args, config)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    if args.duration <= 0:
-        raise CliError(EXIT_ARGUMENT, f"--duration must be positive, got {args.duration}")
-    warmup = args.warmup
-    if warmup is not None and not 0 <= warmup < args.duration:
-        raise CliError(EXIT_ARGUMENT, f"--warmup must lie in [0, duration), got {warmup}")
-    params = SimParams(duration=args.duration, warmup=warmup, seed=seed,
-                       max_elements=args.max_elements)
-    report = simulate(topology, workload, params)
+    try:
+        params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed,
+                           max_elements=args.max_elements)
+        report = simulate(topology, workload, params)
+    except ValueError as exc:
+        raise CliError(EXIT_ARGUMENT, str(exc)) from None
 
     manifest = _manifest(
         "simulate", seed=seed, preset=preset, config=config, workload=workload,
@@ -285,13 +287,12 @@ def cmd_simulate(args) -> int:
                     "max_elements": args.max_elements},
     )
     if args.trace:
-        rows = [f"# manifest: {json.dumps(manifest, sort_keys=True)}"]
-        import io
-
-        buffer = io.StringIO()
-        write_trace_csv(report, buffer)
-        rows.append(buffer.getvalue())
-        _write_text(args.trace, "\n".join(rows))
+        try:
+            with open(args.trace, "w") as stream:
+                stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
+                write_trace_csv(report, stream)
+        except OSError as exc:
+            raise CliError(EXIT_IO, f"cannot write {args.trace}: {exc}") from None
     payload = {"manifest": manifest, "report": report.to_dict()}
     return _emit(args, _json_body(payload))
 
@@ -338,16 +339,15 @@ def cmd_compare(args) -> int:
                            f"unknown preset {name!r}; choose from: {', '.join(PRESET_NAMES)}")
     if args.repeats < 1:
         raise CliError(EXIT_ARGUMENT, f"--repeats must be at least 1, got {args.repeats}")
-    if args.duration <= 0:
-        raise CliError(EXIT_ARGUMENT, f"--duration must be positive, got {args.duration}")
-    if args.warmup is not None and not 0 <= args.warmup < args.duration:
-        raise CliError(EXIT_ARGUMENT, f"--warmup must lie in [0, duration), got {args.warmup}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
 
-    rows = [
-        _preset_summary(name, args, args.repeats, seed, args.duration, args.warmup)
-        for name in args.presets
-    ]
+    try:
+        rows = [
+            _preset_summary(name, args, args.repeats, seed, args.duration, args.warmup)
+            for name in args.presets
+        ]
+    except ValueError as exc:
+        raise CliError(EXIT_ARGUMENT, str(exc)) from None
     manifest = _manifest(
         "compare", seed=seed, workload=_resolve_workload(args, None),
         parameters={"presets": list(args.presets), "repeats": args.repeats,

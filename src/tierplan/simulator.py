@@ -1,4 +1,4 @@
-"""Discrete-event simulation of the streaming pipeline.
+"""Simulation of the streaming pipeline, one stage at a time.
 
 Every element follows generate -> preprocess (endpoint, one core, FIFO) ->
 transfer (dedicated per-endpoint link: serialization plus sampled one-way
@@ -8,28 +8,56 @@ preprocessing and network stages entirely.
 
 Arrivals and service times are deterministic; the only randomness is the
 propagation delay, drawn from a normal distribution truncated at zero, so a
-run is fully determined by (topology, workload, params).  Events are ordered
-by (time, insertion sequence), which makes simultaneous events resolve
-deterministically too.
+run is fully determined by (topology, workload, params).
 
-Per-element records carry five duration components (preprocess, transfer,
-propagation, queue wait, service); waiting for the endpoint CPU counts into
-preprocess and waiting for the link into transfer.  End-to-end latency is
-defined as the exact sum of the five components.
+The pipeline is feed-forward and every queue is FIFO with a constant service
+time, so each stage's times follow in closed form from the stage before
+(Lindley 1952; Kiefer and Wolfowitz 1955) and no event queue is needed:
+
+- Generation: every source emits at 0.0 and then every ``interval`` (the
+  interval added up in sequence), one timeline ``g_k`` for all sources.
+- Endpoint CPU and link: every offloaded source has the same preprocessing
+  and serialization time, so one recursion serves them all:
+  ``d_k = max(g_k, d_{k-1}) + pre_s`` and ``x_k = max(d_k, x_{k-1}) + ser_s``.
+- Propagation: delays are drawn from one seeded ``random.Random`` in
+  transmit order: round ``k`` first, then the source's rank in sorted id
+  order.  Only elements transmitted by the end of the run draw.
+- Worker with ``c`` cores and service time ``s``: arrivals sorted by
+  arrival time, ties in transmit order, start at
+  ``start_i = max(a_i, start_{i-c} + s)`` and finish at ``start_i + s``.
+
+A stage counts as reached when its time is at most the duration; the last
+stage reached is the element's phase.  These are the float operations, and
+the tie order, of an event loop ordered by (time, insertion sequence), which
+the test suite keeps as a differential oracle.  The recursions need the
+shared timelines, so ``simulate`` rejects topologies that ``build_topology``
+never makes: offloaded sources with different preprocessing times, and a
+worker that processes its own elements and other sources' too.
+
+Per-element results are kept as columns (one list per field); records are
+built only for ``SimReport.elements``.  Each element carries five duration
+components (preprocess, transfer, propagation, queue wait, service); waiting
+for the endpoint CPU counts into preprocess and waiting for the link into
+transfer.  End-to-end latency is defined as the exact sum of the five
+components.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
-import heapq
 import math
 import random
 import statistics
-from collections import deque
 from dataclasses import dataclass, field
-from typing import IO
+from functools import cached_property
+from typing import IO, Iterator
 
-from .topology import Topology, WorkloadProfile
+from .topology import Device, Link, Topology, WorkloadProfile
+
+# Largest run simulate accepts, in elements: a run peaks at about 240 bytes
+# per element (see README, "Simulator model").
+MAX_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +66,14 @@ class SimParams:
     warmup: float | None = None      # seconds excluded from metrics; default 10% of duration
     seed: int = 0
     max_elements: int | None = None  # per-endpoint cap on generated elements
+
+    def __post_init__(self) -> None:
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
+        if not 0 <= self.warmup_s < self.duration:
+            raise ValueError(f"warmup must lie in [0, duration), got {self.warmup_s!r}")
+        if self.max_elements is not None and self.max_elements < 1:
+            raise ValueError(f"max_elements must be at least 1, got {self.max_elements!r}")
 
     @property
     def warmup_s(self) -> float:
@@ -57,27 +93,10 @@ class ElementRecord:
     service: float = 0.0
     completed: float | None = None
     phase: str = "preprocess"  # preprocess|transfer|transit|queued|service|done
-    _stage_start: float = field(default=0.0, repr=False)
 
     @property
     def end_to_end(self) -> float:
         return self.preprocess + self.transfer + self.propagation + self.queue_wait + self.service
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "worker": self.worker,
-            "index": self.index,
-            "generated_s": self.generated,
-            "preprocess_s": self.preprocess,
-            "transfer_s": self.transfer,
-            "propagation_s": self.propagation,
-            "queue_wait_s": self.queue_wait,
-            "service_s": self.service,
-            "end_to_end_s": self.end_to_end if self.phase == "done" else None,
-            "completed_s": self.completed,
-            "phase": self.phase,
-        }
 
 
 PHASES = ("preprocess", "transfer", "transit", "queued", "service", "done")
@@ -86,6 +105,37 @@ _TRACE_COLUMNS = (
     "source", "worker", "index", "generated_s", "preprocess_s", "transfer_s",
     "propagation_s", "queue_wait_s", "service_s", "end_to_end_s", "completed_s", "phase",
 )
+
+
+@dataclass
+class _Columns:
+    """Per-element results, element ``k * len(sources) + rank`` being round
+    ``k`` of the source at that rank (the order elements are generated in)."""
+
+    sources: list[tuple[str, str]]   # (source id, worker id) by rank
+    generated: list[float]           # per round
+    preprocess: list[float]
+    transfer: list[float]
+    propagation: list[float]
+    queue_wait: list[float]
+    service: list[float]
+    completed: list[float | None]
+    phase: list[str]
+
+    def rows(self) -> Iterator[tuple]:
+        """ElementRecord fields of every element, in generation order."""
+        values = zip(self.preprocess, self.transfer, self.propagation, self.queue_wait,
+                     self.service, self.completed, self.phase)
+        for index, generated in enumerate(self.generated):
+            for source, worker in self.sources:
+                yield (source, worker, index, generated, *next(values))
+
+    def trace_rows(self) -> Iterator[tuple]:
+        """Trace rows in ``_TRACE_COLUMNS`` order; the end-to-end latency is
+        None for elements that did not complete."""
+        for source, worker, index, generated, pre, tx, prop, wait, svc, completed, phase in self.rows():
+            total = pre + tx + prop + wait + svc if phase == "done" else None
+            yield source, worker, index, generated, pre, tx, prop, wait, svc, total, completed, phase
 
 
 @dataclass
@@ -105,7 +155,12 @@ class SimReport:
     backlog: int                  # generated but not completed at the end
     backlog_at_warmup: int
     phase_counts: dict[str, int]
-    elements: tuple[ElementRecord, ...]
+    columns: _Columns = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> tuple[ElementRecord, ...]:
+        """One record per element, in generation order; built on first use."""
+        return tuple(ElementRecord(*row) for row in self.columns.rows())
 
     def to_dict(self, include_trace: bool = False) -> dict:
         data = {
@@ -128,267 +183,225 @@ class SimReport:
             "phase_counts": dict(self.phase_counts),
         }
         if include_trace:
-            data["trace"] = [rec.to_dict() for rec in self.elements]
+            data["trace"] = [dict(zip(_TRACE_COLUMNS, row)) for row in self.columns.trace_rows()]
         return data
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """Mean per-element time split into the three report components.
-    total_s is defined as their sum."""
-
-    communication_s: float
-    compute_s: float
-    queueing_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.communication_s + self.compute_s + self.queueing_s
-
-
-def latency_breakdown(report: SimReport) -> LatencyBreakdown:
-    if report.measured == 0:
-        raise ValueError("no completed post-warmup elements to break down")
-    return LatencyBreakdown(
-        communication_s=report.communication_mean_s,
-        compute_s=report.compute_mean_s,
-        queueing_s=report.queueing_mean_s,
-    )
+def _generation_times(rate: float, duration: float, max_elements: int | None) -> list[float]:
+    """0.0, then every 1/rate seconds while before the duration, at most
+    max_elements of them."""
+    if rate == 0:
+        return []
+    interval, cap = 1.0 / rate, math.inf if max_elements is None else max_elements
+    times, t = [0.0], 0.0
+    while len(times) < cap:
+        t = t + interval
+        if not t < duration:
+            break
+        times.append(t)
+    return times
 
 
-def measured_load(report: SimReport) -> dict[str, float]:
-    """Per-worker load: service demand arriving per post-warmup second over
-    capacity, as a percentage."""
-    return dict(report.worker_load_percent)
+def _assign(topology: Topology, workload: WorkloadProfile,
+            workers: dict[str, Device]) -> tuple[list[tuple[str, str]], dict[str, list[int]], float]:
+    """Sources by rank as (source id, worker id), each worker's source ranks,
+    and the preprocessing time all offloaded sources share."""
+    owner: dict[str, str] = {}
+    pre_times: set[float] = set()
+    for worker_id, assigned in topology.assignment.items():
+        for source_id in assigned:
+            device = topology.device(source_id)
+            owner[source_id] = worker_id
+            if source_id != worker_id:
+                if topology.worker_link is None:
+                    raise ValueError(f"source {source_id} offloads to {worker_id} but the topology has no link")
+                pre_times.add(workload.pre_time / device.quota)
+    if len(pre_times) > 1:
+        raise ValueError("offloaded sources must share one preprocessing time (same endpoint quota)")
+
+    sources = [(source_id, owner[source_id]) for source_id in sorted(owner)]
+    ranks: dict[str, list[int]] = {}
+    for rank, (source_id, worker_id) in enumerate(sources):
+        if worker_id not in workers:
+            raise ValueError(f"source {source_id} is assigned to {worker_id}, which is not a worker")
+        ranks.setdefault(worker_id, []).append(rank)
+    for worker_id, assigned in ranks.items():
+        if owner.get(worker_id) == worker_id and len(assigned) > 1:
+            raise ValueError(f"worker {worker_id} processes its own elements and other sources' too")
+    return sources, ranks, pre_times.pop() if pre_times else 0.0
 
 
-class _Source:
-    __slots__ = ("device", "worker_id", "local", "pre_s", "ser_s", "prop_avg_s",
-                 "prop_sd_s", "next_index", "cpu_busy", "cpu_queue", "link_busy", "link_queue")
+def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_s: float, link: Link,
+             workload: WorkloadProfile, duration: float, seed: int) -> None:
+    """Endpoint CPU, link and propagation of the offloaded sources' elements:
+    record their stage times and phases and set their arrival times."""
+    g, n_sources = columns.generated, len(columns.sources)
+    ser_s = workload.element_size / link.throughput_mbit
+    prepared, sent = [], []
+    d = x = 0.0
+    for gk in g:
+        d = max(gk, d) + pre_s
+        if d > duration:
+            break
+        prepared.append(d)
+    for d in prepared:
+        x = max(d, x) + ser_s
+        if x > duration:
+            break
+        sent.append(x)
+    n_pre, n_sent = len(prepared) * n_sources, len(sent) * n_sources
+    pre_values = [d - gk for d, gk in zip(prepared, g)]
+    transfer_values = [x - d for x, d in zip(sent, prepared)]
+    for rank in offloaded:
+        columns.preprocess[rank:n_pre:n_sources] = pre_values
+        columns.phase[rank:n_pre:n_sources] = ["transfer"] * len(prepared)
+        columns.transfer[rank:n_sent:n_sources] = transfer_values
+        columns.phase[rank:n_sent:n_sources] = ["transit"] * len(sent)
 
-    def __init__(self, device, worker_id, local, pre_s, ser_s, prop_avg_s, prop_sd_s):
-        self.device = device
-        self.worker_id = worker_id
-        self.local = local
-        self.pre_s = pre_s
-        self.ser_s = ser_s
-        self.prop_avg_s = prop_avg_s
-        self.prop_sd_s = prop_sd_s
-        self.next_index = 0
-        self.cpu_busy = False
-        self.cpu_queue: deque = deque()
-        self.link_busy = False
-        self.link_queue: deque = deque()
+    avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
+    draw = random.Random(seed).normalvariate
+    propagation = columns.propagation
+    for k, x in enumerate(sent):  # in transmit order: round, then rank
+        base = k * n_sources
+        for rank in offloaded:
+            value = avg_s
+            if sd_s != 0:
+                value = draw(avg_s, sd_s)
+                while not value >= 0:  # truncate at zero by redrawing
+                    value = draw(avg_s, sd_s)
+            propagation[base + rank] = value
+            arrival[base + rank] = x + value
 
 
-class _Worker:
-    __slots__ = ("device", "service_s", "free", "queue", "in_service", "arrivals", "busy_s")
-
-    def __init__(self, device, service_s):
-        self.device = device
-        self.service_s = service_s
-        self.free = device.cores
-        self.queue: deque = deque()
-        self.in_service: dict[int, float] = {}
-        self.arrivals = 0
-        self.busy_s = 0.0
+def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int, s: float,
+           duration: float, warmup: float) -> tuple[int, float]:
+    """Pass one worker's arrivals, in ``order``, through its cores; record
+    each element's wait, service, completion and phase.  Returns the number
+    of arrivals after warmup and the core-seconds spent after warmup."""
+    phase, queue_wait, service, completed = columns.phase, columns.queue_wait, columns.service, columns.completed
+    starts: list[float] = []
+    in_service: list[float] = []
+    count, busy = 0, 0.0
+    for i, e in enumerate(order):
+        a = arrival[e]
+        if a > warmup:
+            count += 1
+        start = a
+        if i >= cores:
+            free = starts[i - cores] + s
+            if free > a:
+                start = free
+        starts.append(start)
+        if start > duration:
+            phase[e] = "queued"
+            continue
+        queue_wait[e] = start - a
+        end = start + s
+        if end > duration:
+            phase[e] = "service"
+            in_service.append(start)
+            continue
+        phase[e] = "done"
+        service[e] = s
+        completed[e] = end
+        overlap = end - max(start, warmup)
+        if overlap > 0:
+            busy += overlap
+    for start in in_service:  # capacity spent on elements still in service
+        overlap = duration - max(start, warmup)
+        if overlap > 0:
+            busy += overlap
+    return count, busy
 
 
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
     """Run one seeded simulation and return aggregate metrics plus the full
-    per-element trace."""
-    duration = params.duration
-    warmup = params.warmup_s
-    if not (duration > 0 and math.isfinite(duration)):
-        raise ValueError(f"duration must be positive and finite, got {duration!r}")
-    if not 0 <= warmup < duration:
-        raise ValueError(f"warmup must lie in [0, duration), got {warmup!r}")
-    if not (workload.rate >= 0 and math.isfinite(workload.rate)):
-        raise ValueError(f"generation rate must be finite and non-negative, got {workload.rate!r}")
+    per-element trace.
+
+    Raises ValueError for a non-finite or negative rate, a topology without
+    workers, offloaded sources without a link, a run of more than
+    ``MAX_ELEMENTS`` elements, and the two topologies the stage recursions
+    do not cover (see the module docstring)."""
+    duration, warmup, rate = params.duration, params.warmup_s, workload.rate
+    if not (rate >= 0 and math.isfinite(rate)):
+        raise ValueError(f"generation rate must be finite and non-negative, got {rate!r}")
     if not topology.workers:
         raise ValueError("topology has no workers")
+    workers = {device.id: device for device in topology.workers}
+    service_s = {wid: workload.proc_on(device.tier) / device.quota for wid, device in workers.items()}
+    sources, ranks, pre_s = _assign(topology, workload, workers)
 
-    workers: dict[str, _Worker] = {}
-    for device in topology.workers:
-        workers[device.id] = _Worker(device, workload.proc_on(device.tier) / device.quota)
+    n_sources = len(sources)
+    per_source = duration * rate + 1 if rate > 0 else 0
+    if params.max_elements is not None:
+        per_source = min(per_source, params.max_elements)
+    if n_sources * per_source > MAX_ELEMENTS:
+        raise ValueError(f"the run would generate about {n_sources * per_source:.3g} elements, "
+                         f"more than the budget of {MAX_ELEMENTS}")
 
-    link = topology.worker_link
-    sources: dict[str, _Source] = {}
-    for worker_id, assigned in topology.assignment.items():
-        for source_id in assigned:
-            device = topology.device(source_id)
-            local = source_id == worker_id
-            if local:
-                sources[source_id] = _Source(device, worker_id, True, 0.0, 0.0, 0.0, 0.0)
-            else:
-                if link is None:
-                    raise ValueError(f"source {source_id} offloads to {worker_id} but the topology has no link")
-                sources[source_id] = _Source(
-                    device, worker_id, False,
-                    workload.pre_time / device.quota,
-                    workload.element_size / link.throughput_mbit,
-                    link.latency_avg_ms / 1000.0,
-                    link.latency_sd_ms / 1000.0,
-                )
+    g = _generation_times(rate, duration, params.max_elements) if n_sources else []
+    n = len(g) * n_sources
+    columns = _Columns(sources, g, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n,
+                       [None] * n, ["preprocess"] * n)
+    arrival = [math.inf] * n
+    offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
+    if offloaded:
+        _offload(columns, arrival, offloaded, pre_s, topology.worker_link, workload, duration, params.seed)
 
-    rng = random.Random(params.seed)
-    records: list[ElementRecord] = []
-    events: list[tuple] = []  # (time, seq, action, payload)
-    seq = 0
-
-    def push(time: float, action: str, payload) -> None:
-        nonlocal seq
-        heapq.heappush(events, (time, seq, action, payload))
-        seq += 1
-
-    def sample_propagation(src: _Source) -> float:
-        if src.prop_sd_s == 0:
-            return src.prop_avg_s
-        while True:  # truncate at zero by redrawing; mean is non-negative
-            value = rng.normalvariate(src.prop_avg_s, src.prop_sd_s)
-            if value >= 0:
-                return value
-
-    def arrive(rec: ElementRecord, worker: _Worker, now: float) -> None:
-        if now > warmup:
-            worker.arrivals += 1
-        rec._stage_start = now
-        if worker.free > 0:
-            worker.free -= 1
-            rec.phase = "service"
-            worker.in_service[id(rec)] = now
-            push(now + worker.service_s, "done", rec)
-        else:
-            rec.phase = "queued"
-            worker.queue.append(rec)
-
-    if workload.rate > 0:
-        interval = 1.0 / workload.rate
-        for source_id in sorted(sources):
-            push(0.0, "gen", source_id)
-    else:
-        interval = math.inf
-
-    while events and events[0][0] <= duration:
-        now, _, action, payload = heapq.heappop(events)
-
-        if action == "gen":
-            src = sources[payload]
-            rec = ElementRecord(source=payload, worker=src.worker_id,
-                                index=src.next_index, generated=now)
-            src.next_index += 1
-            records.append(rec)
-            if src.local:
-                arrive(rec, workers[src.worker_id], now)
-            elif src.cpu_busy:
-                src.cpu_queue.append(rec)
-            else:
-                src.cpu_busy = True
-                push(now + src.pre_s, "pre", rec)
-            next_gen = now + interval
-            if next_gen < duration and (params.max_elements is None or src.next_index < params.max_elements):
-                push(next_gen, "gen", payload)
-
-        elif action == "pre":
-            rec = payload
-            src = sources[rec.source]
-            rec.preprocess = now - rec.generated
-            rec.phase = "transfer"
-            rec._stage_start = now
-            if src.link_busy:
-                src.link_queue.append(rec)
-            else:
-                src.link_busy = True
-                push(now + src.ser_s, "tx", rec)
-            if src.cpu_queue:
-                push(now + src.pre_s, "pre", src.cpu_queue.popleft())
-            else:
-                src.cpu_busy = False
-
-        elif action == "tx":
-            rec = payload
-            src = sources[rec.source]
-            rec.transfer = now - rec._stage_start
-            rec.propagation = sample_propagation(src)
-            rec.phase = "transit"
-            push(now + rec.propagation, "arrive", rec)
-            if src.link_queue:
-                push(now + src.ser_s, "tx", src.link_queue.popleft())
-            else:
-                src.link_busy = False
-
-        elif action == "arrive":
-            rec = payload
-            arrive(rec, workers[rec.worker], now)
-
-        else:  # done
-            rec = payload
-            worker = workers[rec.worker]
-            rec.service = worker.service_s
-            rec.completed = now
-            rec.phase = "done"
-            start = worker.in_service.pop(id(rec))
-            overlap = min(now, duration) - max(start, warmup)
-            if overlap > 0:
-                worker.busy_s += overlap
-            if worker.queue:
-                nxt = worker.queue.popleft()
-                nxt.queue_wait = now - nxt._stage_start
-                nxt.phase = "service"
-                worker.in_service[id(nxt)] = now
-                push(now + worker.service_s, "done", nxt)
-            else:
-                worker.free += 1
-
-    # capacity spent on elements still in service when the run ends
-    for worker in workers.values():
-        for start in worker.in_service.values():
-            overlap = duration - max(start, warmup)
-            if overlap > 0:
-                worker.busy_s += overlap
+    arrivals: dict[str, int] = {}
+    busy_s: dict[str, float] = {}
+    for worker_id, assigned in ranks.items():
+        if sources[assigned[0]][0] == worker_id:
+            arrival[assigned[0]::n_sources] = g  # its own elements arrive as generated
+        order = [base + rank for base in range(0, n, n_sources) for rank in assigned
+                 if arrival[base + rank] <= duration]
+        order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
+        arrivals[worker_id], busy_s[worker_id] = _serve(
+            columns, order, arrival, workers[worker_id].cores, service_s[worker_id], duration, warmup)
+    del arrival
 
     window = duration - warmup
-    done = [rec for rec in records if rec.phase == "done"]
-    sample = [rec for rec in done if rec.generated >= warmup]
-    latencies = [rec.end_to_end for rec in sample]
+    completed = columns.completed
+    done = [e for e, end in enumerate(completed) if end is not None]
+    sample = done[bisect.bisect_left(done, bisect.bisect_left(g, warmup) * n_sources):]
+    pre, transfer, propagation = columns.preprocess, columns.transfer, columns.propagation
+    queue_wait, service = columns.queue_wait, columns.service
+    latencies = [pre[e] + transfer[e] + propagation[e] + queue_wait[e] + service[e] for e in sample]
+    completed_in_window = sum(1 for e in done if completed[e] > warmup)
 
     worker_load: dict[str, float] = {}
     worker_busy: dict[str, float] = {}
-    for worker_id, worker in sorted(workers.items()):
-        demand = worker.arrivals * workload.proc_on(worker.device.tier) / window
-        capacity = worker.device.cores * worker.device.quota
+    for worker_id, device in sorted(workers.items()):
+        demand = arrivals.get(worker_id, 0) * workload.proc_on(device.tier) / window
+        capacity = device.cores * device.quota
         worker_load[worker_id] = demand / capacity * 100.0
-        worker_busy[worker_id] = worker.busy_s / (window * worker.device.cores)
+        worker_busy[worker_id] = busy_s.get(worker_id, 0.0) / (window * device.cores)
 
-    completed_in_window = sum(1 for rec in done if rec.completed > warmup)
-    phase_counts = {phase: 0 for phase in PHASES}
-    for rec in records:
-        phase_counts[rec.phase] += 1
+    def mean(values: list[float]) -> float:
+        return statistics.fmean(values) if values else 0.0
 
     return SimReport(
         params=params,
-        generated=len(records),
+        generated=n,
         completed=len(done),
         measured=len(sample),
-        latency_mean_s=statistics.fmean(latencies) if latencies else 0.0,
+        latency_mean_s=mean(latencies),
         latency_sd_s=statistics.stdev(latencies) if len(latencies) > 1 else 0.0,
-        communication_mean_s=statistics.fmean(r.transfer + r.propagation for r in sample) if sample else 0.0,
-        compute_mean_s=statistics.fmean(r.preprocess + r.service for r in sample) if sample else 0.0,
-        queueing_mean_s=statistics.fmean(r.queue_wait for r in sample) if sample else 0.0,
+        communication_mean_s=mean([transfer[e] + propagation[e] for e in sample]),
+        compute_mean_s=mean([pre[e] + service[e] for e in sample]),
+        queueing_mean_s=mean([queue_wait[e] for e in sample]),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,
-        backlog=len(records) - len(done),
-        backlog_at_warmup=sum(1 for rec in records if rec.generated <= warmup)
-        - sum(1 for rec in done if rec.completed <= warmup),
-        phase_counts=phase_counts,
-        elements=tuple(records),
+        backlog=n - len(done),
+        backlog_at_warmup=bisect.bisect_right(g, warmup) * n_sources - (len(done) - completed_in_window),
+        phase_counts={p: columns.phase.count(p) for p in PHASES},
+        columns=columns,
     )
 
 
 def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     """One CSV row per element, completed or not."""
-    writer = csv.DictWriter(stream, fieldnames=_TRACE_COLUMNS)
-    writer.writeheader()
-    for rec in report.elements:
-        writer.writerow(rec.to_dict())
+    writer = csv.writer(stream)
+    writer.writerow(_TRACE_COLUMNS)
+    writer.writerows(report.columns.trace_rows())

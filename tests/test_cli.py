@@ -108,6 +108,13 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "edge-small", "--rate", "-2")
         assert code == EXIT_ARGUMENT
 
+    def test_non_finite_workload_is_an_argument_error(self, capsys):
+        for flags in (["--tproc", "edge=inf", "--rate", "0"], ["--tpre", "nan"],
+                      ["--size", "inf"], ["--rate", "inf"]):
+            code, out, _ = run(capsys, "predict", "edge-small", "--json", *flags)
+            assert code == EXIT_ARGUMENT, flags
+            assert out == ""
+
     def test_missing_target_file(self, capsys):
         code, _, _ = run(capsys, "predict", "no-such-preset")
         assert code == EXIT_IO
@@ -158,6 +165,13 @@ class TestHeatmap:
             code, _, err = run(capsys, "heatmap", "--rmax", rmax)
             assert code == EXIT_ARGUMENT, rmax
 
+    def test_unusable_tproc_is_an_argument_error(self, capsys):
+        # inf is not a number JSON can carry; 0 leaves the grid without an anchor
+        for tproc in ("edge=inf", "endpoint=0"):
+            code, out, err = run(capsys, "heatmap", "--json", "--tproc", tproc)
+            assert code == EXIT_ARGUMENT, tproc
+            assert out == ""
+
     def test_cli_does_not_import_numpy(self):
         """The CLI needs only the standard library; importing numpy would
         add its import time and memory to every command."""
@@ -202,12 +216,30 @@ class TestSimulate:
         assert a == b
 
     def test_duration_must_be_positive(self, capsys):
-        code, _, _ = run(capsys, "simulate", "edge-small", "--duration", "-1")
-        assert code == EXIT_ARGUMENT
+        for duration in ("-1", "0", "nan", "inf"):
+            code, _, _ = run(capsys, "simulate", "edge-small", "--duration", duration)
+            assert code == EXIT_ARGUMENT, duration
 
     def test_warmup_must_precede_the_end(self, capsys):
-        code, _, _ = run(capsys, "simulate", "edge-small", "--duration", "5", "--warmup", "5")
+        for warmup in ("5", "-1", "nan"):
+            code, _, _ = run(capsys, "simulate", "edge-small", "--duration", "5", "--warmup", warmup)
+            assert code == EXIT_ARGUMENT, warmup
+
+    def test_max_elements_must_be_positive(self, capsys):
+        for cap in ("0", "-3"):
+            code, out, _ = run(capsys, "simulate", "edge-small", "--duration", "1", "--max-elements", cap)
+            assert code == EXIT_ARGUMENT, cap
+            assert out == ""
+
+    def test_non_finite_rate_is_an_argument_error(self, capsys):
+        code, _, _ = run(capsys, "simulate", "edge-small", "--rate", "inf")
         assert code == EXIT_ARGUMENT
+
+    def test_run_over_the_element_budget_is_refused(self, capsys):
+        # 40 endpoints x 5 Hz x 1e9 s, refused before anything is allocated
+        code, out, err = run(capsys, "simulate", "cloud", "--duration", "1e9")
+        assert code == EXIT_ARGUMENT
+        assert "budget" in err and out == ""
 
     def test_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -250,6 +282,11 @@ class TestCompare:
         code, _, err = run(capsys, "compare", "cloud", "fog")
         assert code == EXIT_ARGUMENT
         assert "fog" in err
+
+    def test_duration_must_be_positive_and_finite(self, capsys):
+        for duration in ("0", "nan", "inf"):
+            code, _, _ = run(capsys, "compare", "cloud", "mist", "--duration", duration)
+            assert code == EXIT_ARGUMENT, duration
 
     def test_repeats_use_consecutive_seeds(self, capsys):
         payload = run_json(capsys, "compare", "cloud", "mist", "--json", "--seed", "100",

@@ -11,8 +11,6 @@ from tierplan.config import parse_config
 from tierplan.simulator import (
     PHASES,
     SimParams,
-    latency_breakdown,
-    measured_load,
     simulate,
     write_trace_csv,
 )
@@ -183,7 +181,7 @@ class TestOverload:
     def test_measured_load_reports_the_overload(self):
         topo = build_topology(parse_config(OVERLOADED_EDGE_CONFIG))
         report = simulate(topo, DEFAULT_WORKLOAD, SimParams(duration=30.0, seed=5))
-        for load in measured_load(report).values():
+        for load in report.worker_load_percent.values():
             assert load == pytest.approx(560.0 / 3.0, rel=0.02)
 
     def test_saturated_workers_stay_busy(self):
@@ -197,7 +195,7 @@ class TestStableAgreement:
     def test_measured_load_tracks_the_analytic_value(self):
         topo = build_topology(load_preset("edge-small"))
         report = simulate(topo, DEFAULT_WORKLOAD, SimParams(duration=40.0, seed=11))
-        for load in measured_load(report).values():
+        for load in report.worker_load_percent.values():
             assert load == pytest.approx(280.0 / 3.0, abs=1.0)
 
     def test_busy_fraction_tracks_utilization(self):
@@ -254,17 +252,14 @@ class TestLatencyIdentity:
     def test_breakdown_components_sum_to_the_mean(self):
         topo = build_topology(load_preset("edge-small"))
         report = simulate(topo, DEFAULT_WORKLOAD, SimParams(duration=20.0, seed=4))
-        breakdown = latency_breakdown(report)
-        assert breakdown.total_s == pytest.approx(report.latency_mean_s, abs=1e-9)
-        assert breakdown.communication_s == report.communication_mean_s
-        assert breakdown.compute_s == report.compute_mean_s
+        total = report.communication_mean_s + report.compute_mean_s + report.queueing_mean_s
+        assert total == pytest.approx(report.latency_mean_s, abs=1e-9)
 
     def test_breakdown_needs_measured_elements(self):
         report = simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(5.0),
                           SimParams(duration=1.0, warmup=0.99, seed=1))
         assert report.measured == 0
-        with pytest.raises(ValueError):
-            latency_breakdown(report)
+        assert report.communication_mean_s == report.compute_mean_s == report.queueing_mean_s == 0.0
 
 
 class TestParams:
