@@ -39,7 +39,7 @@ from .config import (
     render_config,
 )
 from .simulator import SimParams, SimReport, simulate, write_trace_csv
-from .topology import DEFAULT_WORKLOAD, TopologyError, WorkloadProfile, build_topology
+from .topology import DEFAULT_WORKLOAD, Topology, TopologyError, WorkloadProfile, build_topology
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -73,16 +73,20 @@ def _write_text(path: str, body: str) -> None:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from None
 
 
-def _load_target(target: str) -> tuple[DeploymentConfig, str | None]:
-    """Resolve a preset name or config file path to (config, preset_name)."""
-    if target in PRESET_NAMES:
-        return load_preset(target), target
-    text = _read_text(target)
+def _load_target(target: str) -> tuple[DeploymentConfig, str | None, Topology]:
+    """Resolve a preset name or config file path to (config, preset_name,
+    topology)."""
     try:
-        return parse_config(text), None
+        if target in PRESET_NAMES:
+            config, preset = load_preset(target), target
+        else:
+            config, preset = parse_config(_read_text(target)), None
+        return config, preset, build_topology(config)
     except ConfigError as exc:
         listing = "\n".join(str(d) for d in exc.diagnostics if d.severity == "error")
         raise CliError(EXIT_CONFIG, f"{target} is not a usable config:\n{listing}") from None
+    except TopologyError as exc:
+        raise CliError(EXIT_CONFIG, str(exc)) from None
 
 
 def _nonnegative(value: float | None, flag: str) -> float | None:
@@ -189,11 +193,7 @@ def _describe_verdict(verdict) -> str:
 
 
 def cmd_predict(args) -> int:
-    config, preset = _load_target(args.target)
-    try:
-        topology = build_topology(config)
-    except TopologyError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    config, preset, topology = _load_target(args.target)
     family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
 
@@ -232,11 +232,8 @@ def cmd_heatmap(args) -> int:
         config, preset = None, None
         family = reference_family()
     else:
-        config, preset = _load_target(args.target)
-        try:
-            family = family_from_topology(build_topology(config))
-        except TopologyError as exc:
-            raise CliError(EXIT_CONFIG, str(exc)) from None
+        config, preset, topology = _load_target(args.target)
+        family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
 
     try:
@@ -267,11 +264,7 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config, preset = _load_target(args.target)
-    try:
-        topology = build_topology(config)
-    except TopologyError as exc:
-        raise CliError(EXIT_CONFIG, str(exc)) from None
+    config, preset, topology = _load_target(args.target)
     workload = _resolve_workload(args, config)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     try:
@@ -311,22 +304,22 @@ def _preset_summary(name: str, workload_args, repeats: int, base_seed: int,
         params = SimParams(duration=duration, warmup=warmup, seed=base_seed + i)
         reports.append(simulate(topology, workload, params))
 
-    def stats(values: list[float]) -> tuple[float, float]:
-        return statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0
+    # only repeats that measured an element have latencies to average
+    measured = [r for r in reports if r.measured]
+    means = [r.latency_mean_s for r in measured]
 
-    total_mean, total_sd = stats([r.latency_mean_s for r in reports])
-    comm_mean, _ = stats([r.communication_mean_s for r in reports])
-    compute_mean, _ = stats([r.compute_mean_s for r in reports])
-    queue_mean, _ = stats([r.queueing_mean_s for r in reports])
+    def average(field: str) -> float | None:
+        return statistics.fmean([getattr(r, field) for r in measured]) if measured else None
+
     return {
         "name": name,
         "analytic_load_percent": verdict.load_percent,
         "repeats": repeats,
-        "latency_mean_s": total_mean,
-        "latency_sd_s": total_sd,
-        "communication_mean_s": comm_mean,
-        "compute_mean_s": compute_mean,
-        "queueing_mean_s": queue_mean,
+        "latency_mean_s": average("latency_mean_s"),
+        "latency_sd_s": (statistics.stdev(means) if len(means) > 1 else 0.0) if means else None,
+        "communication_mean_s": average("communication_mean_s"),
+        "compute_mean_s": average("compute_mean_s"),
+        "queueing_mean_s": average("queueing_mean_s"),
     }
 
 
@@ -356,16 +349,16 @@ def cmd_compare(args) -> int:
     if args.json:
         return _emit(args, _json_body({"manifest": manifest, "presets": rows}))
 
-    def ms(seconds: float) -> str:
-        return f"{seconds * 1000:8.1f}"
+    def ms(seconds: float | None, width: int = 8, digits: int = 1) -> str:
+        return f"{'-':>{width}}" if seconds is None else f"{seconds * 1000:>{width}.{digits}f}"
 
     lines = [f"{'preset':<12}{'load %':>8}  {'total ms':>8} {'sd':>6}  "
              f"{'comm ms':>8}  {'compute ms':>10}  {'queue ms':>8}"]
     for row in rows:
         lines.append(
             f"{row['name']:<12}{row['analytic_load_percent']:>8.1f}  "
-            f"{ms(row['latency_mean_s'])} {row['latency_sd_s'] * 1000:>6.2f}  "
-            f"{ms(row['communication_mean_s'])}  {row['compute_mean_s'] * 1000:>10.1f}  "
+            f"{ms(row['latency_mean_s'])} {ms(row['latency_sd_s'], 6, 2)}  "
+            f"{ms(row['communication_mean_s'])}  {ms(row['compute_mean_s'], 10)}  "
             f"{ms(row['queueing_mean_s'])}"
         )
     lines.append(f"({args.repeats} runs per preset, seeds {seed}..{seed + args.repeats - 1}, "

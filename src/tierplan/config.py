@@ -7,8 +7,10 @@ Deployment files are INI-style text::
     devices_per_tier = 10,0,40
     cores_per_device = 4,0,1
     quota_per_cpu = 1.0,0,0.5
-    cloud_to_endpoint = 45,5     # latency: average,variability in ms
-    cloud_to_endpoint = 8        # throughput: Mbit/s
+    # latency: average,variability in ms
+    cloud_to_endpoint = 45,5
+    # throughput: Mbit/s
+    cloud_to_endpoint = 8
 
     [benchmark]
     use_benchmark = True
@@ -16,17 +18,20 @@ Deployment files are INI-style text::
     application = image_classification
     resource_manager = kubernetes
 
-Tier-pair keys may legally appear twice in [infrastructure]: an entry with
-two values is a latency (average, variability), an entry with one value is
-a throughput.  Links are symmetric, so ``a_to_b`` and ``b_to_a`` name the
-same link and may not both be given for the same kind.  ``#`` starts a
-line comment.  Keys are case-sensitive.
+One table, ``_KEYS``, lists every section and key with its arity and value
+type; parsing, duplicate detection, required keys and rendering all read
+it.  Tier-pair keys may legally appear twice in [infrastructure]: an entry
+with two values is a latency (average, variability), an entry with one
+value is a throughput.  Links are symmetric, so ``a_to_b`` and ``b_to_a``
+name the same link and may not both be given for the same kind.  ``#``
+starts a comment line; a ``#`` after a value is part of the value.  Keys
+are case-sensitive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
 TIERS = ("cloud", "edge", "endpoint")
@@ -38,6 +43,11 @@ _TIER_RANK = {tier: i for i, tier in enumerate(TIERS)}
 EMULATION_KEYS = ("hypervisor", "thread_pinning", "machine_address")
 
 TierPair = tuple[str, str]
+
+# Largest device total a valid config may have: build_topology materializes
+# every device, about 250 bytes each at the peak (see README, "Deployment
+# configs").
+MAX_DEVICES = 1_000_000
 
 
 def tier_pair(a: str, b: str) -> TierPair:
@@ -116,6 +126,63 @@ class DeploymentConfig:
         return self.quota_per_cpu[_TIER_RANK[tier]]
 
 
+# ---------------------------------------------------------------------------
+# the key table
+
+# Arities: the whole text after '=' as one value, one comma-separated value
+# per tier in cloud,edge,endpoint order, a comma-separated list of non-empty
+# values, or a tier-pair entry (two values for a latency, one for a
+# throughput).
+_ONE, _PER_TIER, _LIST, _PAIR = "one", "per tier", "list", "pair"
+
+
+def _boolean(token: str) -> bool:
+    if token.lower() not in ("true", "false"):
+        raise ValueError(token)
+    return token.lower() == "true"
+
+
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+# Value types: (parser raising ValueError, what a value must be).
+_INTEGER = (int, "an integer")
+_NUMBER = (_finite, "a finite number")
+_BOOLEAN = (_boolean, "True or False")
+_TEXT = (str, "text")
+
+_TIER_PAIRS = object()  # the table row of every ``<tier>_to_<tier>`` key
+
+# Every key of a config file: section -> key -> (arity, value type), in the
+# order render_config writes them.  A key is the name of a field of the
+# section's dataclass (DeploymentConfig for [infrastructure], BenchmarkConfig
+# for [benchmark]), and a field without a default is a required key.
+_KEYS = {
+    "infrastructure": {
+        "hypervisor": (_ONE, _TEXT),
+        "thread_pinning": (_ONE, _BOOLEAN),
+        "devices_per_tier": (_PER_TIER, _INTEGER),
+        "cores_per_device": (_PER_TIER, _INTEGER),
+        "quota_per_cpu": (_PER_TIER, _NUMBER),
+        _TIER_PAIRS: (_PAIR, _NUMBER),
+        "machine_address": (_LIST, _TEXT),
+    },
+    "benchmark": {
+        "use_benchmark": (_ONE, _BOOLEAN),
+        "data_generation_frequency": (_ONE, _NUMBER),
+        "application": (_ONE, _TEXT),
+        "resource_manager": (_ONE, _TEXT),
+    },
+}
+
+_REQUIRED = tuple(f.name for f in fields(DeploymentConfig)
+                  if f.default is MISSING and f.default_factory is MISSING)
+
+
 @dataclass(frozen=True)
 class WorkerPlan:
     """How a config maps onto compute roles, before devices are materialized."""
@@ -188,34 +255,37 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
     def error(key: str, msg: str) -> None:
         diags.append(Diagnostic("error", key, msg))
 
-    for name, triple in (
-        ("devices_per_tier", config.devices_per_tier),
-        ("cores_per_device", config.cores_per_device),
-        ("quota_per_cpu", config.quota_per_cpu),
-    ):
-        if len(triple) != 3:
+    for name, (arity, _) in _KEYS["infrastructure"].items():
+        if arity is _PER_TIER and len(getattr(config, name)) != len(TIERS):
             error(name, f"{name} must have one entry per tier (cloud,edge,endpoint)")
             return diags
 
+    total = 0
     for i, tier in enumerate(TIERS):
         count = config.devices_per_tier[i]
         if not isinstance(count, int) or count < 0:
             error("devices_per_tier", f"device count for {tier} must be a non-negative integer, got {count!r}")
             continue
+        total += count
         cores = config.cores_per_device[i]
         if not isinstance(cores, int) or cores < 0:
             error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {cores!r}")
             continue
+        quota = config.quota_per_cpu[i]
         if count > 0:
-            quota = config.quota_per_cpu[i]
             if cores < 1:
                 error("cores_per_device", f"{tier} tier has {count} devices but no cores per device")
             if not 0 < quota <= 1:
                 error("quota_per_cpu", f"quota for populated tier {tier} must lie in (0, 1], got {quota!r}")
+        elif not math.isfinite(quota):
+            error("quota_per_cpu", f"quota for {tier} must be finite, got {quota!r}")
+    if total > MAX_DEVICES:
+        error("devices_per_tier", f"{total} devices in all, more than the {MAX_DEVICES} a topology may have")
 
     for pair, (avg, sd) in config.latency.items():
-        if not (avg >= 0 and sd >= 0):
-            error(pair_key(pair), f"latency for {pair_key(pair)} must be non-negative, got {avg!r},{sd!r}")
+        if not (0 <= avg < math.inf and 0 <= sd < math.inf):
+            error(pair_key(pair), f"latency for {pair_key(pair)} must be finite and non-negative, "
+                                  f"got {avg!r},{sd!r}")
 
     freq = config.benchmark.data_generation_frequency
     if not (freq >= 0 and math.isfinite(freq)):
@@ -235,6 +305,9 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
             error(link_name, f"pipeline crosses the {link_name} link but no throughput entry is given")
 
     for pair, value in config.throughput.items():
+        if not math.isfinite(value):
+            error(pair_key(pair), f"throughput for {pair_key(pair)} must be finite, got {value!r}")
+            continue
         if value > 0:
             continue
         msg = f"throughput for {pair_key(pair)} must be positive, got {value!r}"
@@ -278,57 +351,16 @@ def parse_config(text: str) -> DeploymentConfig:
     return config
 
 
-def _split(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",")]
-
-
 def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnostic]]:
     diags: list[Diagnostic] = []
-    raw: dict = {
-        "devices_per_tier": None,
-        "cores_per_device": None,
-        "quota_per_cpu": None,
-        "latency": {},
-        "throughput": {},
-        "hypervisor": None,
-        "thread_pinning": None,
-        "machine_address": None,
-        "use_benchmark": None,
-        "data_generation_frequency": None,
-        "application": None,
-        "resource_manager": None,
-    }
+    values: dict[str, dict] = {section: {} for section in _KEYS}
+    latency: dict[TierPair, tuple[float, float]] = {}
+    throughput: dict[TierPair, float] = {}
     seen: set = set()
     section: str | None = None
-    section_known = False
 
     def error(key: str, msg: str) -> None:
         diags.append(Diagnostic("error", key, msg))
-
-    def number(token: str, key: str, where: str) -> float | None:
-        try:
-            value = float(token)
-        except ValueError:
-            value = None
-        if value is None or not math.isfinite(value):
-            error(key, f"{where}: value for '{key}' must be a finite number, got {token!r}")
-            return None
-        return value
-
-    def integer(token: str, key: str, where: str) -> int | None:
-        try:
-            return int(token)
-        except ValueError:
-            error(key, f"{where}: value for '{key}' must be an integer, got {token!r}")
-            return None
-
-    def boolean(token: str, key: str, where: str) -> bool | None:
-        if token.lower() == "true":
-            return True
-        if token.lower() == "false":
-            return False
-        error(key, f"{where}: value for '{key}' must be True or False, got {token!r}")
-        return None
 
     def once(mark: tuple, key: str, where: str, what: str) -> bool:
         if mark in seen:
@@ -336,6 +368,17 @@ def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnosti
             return False
         seen.add(mark)
         return True
+
+    def parse(kind: tuple, tokens: list[str], key: str, where: str) -> list | None:
+        """Every token parsed, or None after one error per bad token."""
+        parser, wording = kind
+        parsed = []
+        for token in tokens:
+            try:
+                parsed.append(parser(token))
+            except ValueError:
+                error(key, f"{where}: value for '{key}' must be {wording}, got {token!r}")
+        return parsed if len(parsed) == len(tokens) else None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -345,11 +388,11 @@ def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnosti
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 error("", f"{where}: malformed section header {stripped!r}")
-                section, section_known = None, False
+                section = None
                 continue
             name = stripped[1:-1].strip()
-            section, section_known = name, name in ("infrastructure", "benchmark")
-            if not section_known:
+            section = name
+            if name not in _KEYS:
                 error(name, f"{where}: unknown section [{name}]")
             else:
                 once(("section", name), name, where, f"section [{name}]")
@@ -362,107 +405,61 @@ def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnosti
         if section is None:
             error(key, f"{where}: '{key}' appears before any [section] header")
             continue
-        if not section_known:
+        if section not in _KEYS:
             continue  # the unknown-section error already covers its keys
 
-        if section == "infrastructure":
-            if key in _PAIR_KEYS:
-                pair = _PAIR_KEYS[key]
-                parts = _split(value)
-                if len(parts) == 2:
-                    kind = "latency"
-                elif len(parts) == 1:
-                    kind = "throughput"
-                else:
-                    error(key, f"{where}: '{key}' takes 'average,variability' (latency) "
-                               f"or one number (throughput), got {len(parts)} values")
-                    continue
-                if not once(("infrastructure", kind, pair), key, where,
-                            f"{kind} entry for the {pair_key(pair)} link"):
-                    continue
-                nums = [number(part, key, where) for part in parts]
-                if any(n is None for n in nums):
-                    continue
-                if kind == "latency":
-                    raw["latency"][pair] = (nums[0], nums[1])
-                else:
-                    raw["throughput"][pair] = nums[0]
-            elif key in ("devices_per_tier", "cores_per_device", "quota_per_cpu"):
-                if not once(("infrastructure", key), key, where, f"key '{key}'"):
-                    continue
-                parts = _split(value)
-                if len(parts) != 3:
-                    error(key, f"{where}: '{key}' takes three comma-separated values "
-                               f"in cloud,edge,endpoint order, got {len(parts)}")
-                    continue
-                if key == "quota_per_cpu":
-                    vals = [number(part, key, where) for part in parts]
-                else:
-                    vals = [integer(part, key, where) for part in parts]
-                if any(v is None for v in vals):
-                    continue
-                raw[key] = tuple(vals)
-            elif key == "hypervisor":
-                if once(("infrastructure", key), key, where, f"key '{key}'"):
-                    raw[key] = value
-            elif key == "thread_pinning":
-                if once(("infrastructure", key), key, where, f"key '{key}'"):
-                    parsed = boolean(value, key, where)
-                    if parsed is not None:
-                        raw[key] = parsed
-            elif key == "machine_address":
-                if once(("infrastructure", key), key, where, f"key '{key}'"):
-                    parts = _split(value)
-                    if any(not part for part in parts):
-                        error(key, f"{where}: '{key}' has an empty address entry")
-                    else:
-                        raw[key] = tuple(parts)
-            else:
-                error(key, f"{where}: unknown key '{key}' in [infrastructure]")
-        else:  # benchmark
-            if key == "use_benchmark":
-                if once(("benchmark", key), key, where, f"key '{key}'"):
-                    parsed = boolean(value, key, where)
-                    if parsed is not None:
-                        raw[key] = parsed
-            elif key == "data_generation_frequency":
-                if once(("benchmark", key), key, where, f"key '{key}'"):
-                    parsed = number(value, key, where)
-                    if parsed is not None:
-                        raw[key] = parsed
-            elif key in ("application", "resource_manager"):
-                if once(("benchmark", key), key, where, f"key '{key}'"):
-                    raw[key] = value
-            else:
-                error(key, f"{where}: unknown key '{key}' in [benchmark]")
+        spec = _KEYS[section].get(_TIER_PAIRS if key in _PAIR_KEYS else key)
+        if spec is None:
+            error(key, f"{where}: unknown key '{key}' in [{section}]")
+            continue
+        arity, kind = spec
+        tokens = [value] if arity is _ONE else [part.strip() for part in value.split(",")]
+        if arity is _PAIR:
+            pair = _PAIR_KEYS[key]
+            if len(tokens) not in (1, 2):
+                error(key, f"{where}: '{key}' takes 'average,variability' (latency) "
+                           f"or one number (throughput), got {len(tokens)} values")
+                continue
+            link_kind = "latency" if len(tokens) == 2 else "throughput"
+            if not once((section, link_kind, pair), key, where,
+                        f"{link_kind} entry for the {pair_key(pair)} link"):
+                continue
+            nums = parse(kind, tokens, key, where)
+            if nums is not None and link_kind == "latency":
+                latency[pair] = (nums[0], nums[1])
+            elif nums is not None:
+                throughput[pair] = nums[0]
+            continue
+        if not once((section, key), key, where, f"key '{key}'"):
+            continue
+        if arity is _PER_TIER and len(tokens) != len(TIERS):
+            error(key, f"{where}: '{key}' takes three comma-separated values "
+                       f"in cloud,edge,endpoint order, got {len(tokens)}")
+            continue
+        if arity is _LIST and not all(tokens):
+            error(key, f"{where}: '{key}' has an empty address entry")
+            continue
+        parsed = parse(kind, tokens, key, where)
+        if parsed is None:
+            continue
+        if arity is _ONE:
+            # "+ 0.0" stores a lone number "-0" as 0.0 and leaves others as read
+            values[section][key] = parsed[0] + 0.0 if kind is _NUMBER else parsed[0]
+        else:
+            values[section][key] = tuple(parsed)
 
     if ("section", "infrastructure") not in seen:
         error("infrastructure", "missing [infrastructure] section")
-    for required in ("devices_per_tier", "cores_per_device", "quota_per_cpu"):
-        if ("infrastructure", required) in seen:
-            continue
-        if ("section", "infrastructure") in seen:
-            error(required, f"missing required key '{required}' in [infrastructure]")
+    else:
+        for required in _REQUIRED:
+            if ("infrastructure", required) not in seen:
+                error(required, f"missing required key '{required}' in [infrastructure]")
 
-    if raw["devices_per_tier"] is None or raw["cores_per_device"] is None or raw["quota_per_cpu"] is None:
+    infrastructure = values["infrastructure"]
+    if any(required not in infrastructure for required in _REQUIRED):
         return None, diags
-
-    config = DeploymentConfig(
-        devices_per_tier=raw["devices_per_tier"],
-        cores_per_device=raw["cores_per_device"],
-        quota_per_cpu=tuple(float(q) for q in raw["quota_per_cpu"]),
-        latency=raw["latency"],
-        throughput=raw["throughput"],
-        benchmark=BenchmarkConfig(
-            use_benchmark=bool(raw["use_benchmark"]) if raw["use_benchmark"] is not None else False,
-            data_generation_frequency=raw["data_generation_frequency"] or 0.0,
-            application=raw["application"] or "",
-            resource_manager=raw["resource_manager"] or "",
-        ),
-        hypervisor=raw["hypervisor"],
-        thread_pinning=raw["thread_pinning"],
-        machine_address=raw["machine_address"],
-    )
+    config = DeploymentConfig(**infrastructure, latency=latency, throughput=throughput,
+                              benchmark=BenchmarkConfig(**values["benchmark"]))
     return config, diags
 
 
@@ -471,11 +468,10 @@ def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnosti
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    """Shortest text that parses back to ``value``."""
+    if isinstance(value, (bool, int, str)):
         return str(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float) and value == int(value) and math.isfinite(value):
+    if isinstance(value, float) and math.isfinite(value) and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -491,35 +487,25 @@ def _pair_rank(pair: TierPair) -> tuple[int, int]:
 def render_config(config: DeploymentConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c for valid c.
 
-    Canonical means: [infrastructure] first, fixed key order, tier pairs
-    sorted cloud < edge < endpoint, latency entries before throughput
-    entries, numbers in their shortest round-tripping form.
+    Canonical means: sections and keys in the order of the key table, keys
+    whose value is None left out, tier pairs sorted cloud < edge <
+    endpoint, latency entries before throughput entries, numbers in their
+    shortest round-tripping form.
     """
-    lines = ["[infrastructure]"]
-    if config.hypervisor is not None:
-        lines.append(f"hypervisor = {config.hypervisor}")
-    if config.thread_pinning is not None:
-        lines.append(f"thread_pinning = {config.thread_pinning}")
-    lines.append(f"devices_per_tier = {_fmt_seq(config.devices_per_tier)}")
-    lines.append(f"cores_per_device = {_fmt_seq(config.cores_per_device)}")
-    lines.append(f"quota_per_cpu = {_fmt_seq(config.quota_per_cpu)}")
-    for pair in sorted(config.latency, key=_pair_rank):
-        avg, sd = config.latency[pair]
-        lines.append(f"{pair_key(pair)} = {_fmt(avg)},{_fmt(sd)}")
-    for pair in sorted(config.throughput, key=_pair_rank):
-        lines.append(f"{pair_key(pair)} = {_fmt(config.throughput[pair])}")
-    if config.machine_address is not None:
-        lines.append(f"machine_address = {','.join(config.machine_address)}")
-    bench = config.benchmark
-    lines += [
-        "",
-        "[benchmark]",
-        f"use_benchmark = {bench.use_benchmark}",
-        f"data_generation_frequency = {_fmt(bench.data_generation_frequency)}",
-        f"application = {bench.application}",
-        f"resource_manager = {bench.resource_manager}",
-    ]
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        lines = [f"[{section}]"]
+        for key, (arity, _) in table.items():
+            if arity is _PAIR:
+                lines += [f"{pair_key(pair)} = {_fmt_seq(config.latency[pair])}"
+                          for pair in sorted(config.latency, key=_pair_rank)]
+                lines += [f"{pair_key(pair)} = {_fmt(config.throughput[pair])}"
+                          for pair in sorted(config.throughput, key=_pair_rank)]
+            elif (value := getattr(record, key)) is not None:
+                lines.append(f"{key} = {_fmt_seq((value,) if arity is _ONE else value)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 # ---------------------------------------------------------------------------

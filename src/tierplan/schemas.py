@@ -10,6 +10,9 @@ from __future__ import annotations
 
 _SEVERITY = {"type": "string", "enum": ["error", "warning"]}
 
+# latency statistics are null when no element was measured
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
 DIAGNOSTIC_SCHEMA = {
     "type": "object",
     "properties": {
@@ -171,11 +174,11 @@ SIM_REPORT_SCHEMA = {
         "generated": {"type": "integer"},
         "completed": {"type": "integer"},
         "measured": {"type": "integer"},
-        "latency_mean_s": {"type": "number"},
-        "latency_sd_s": {"type": "number"},
-        "communication_mean_s": {"type": "number"},
-        "compute_mean_s": {"type": "number"},
-        "queueing_mean_s": {"type": "number"},
+        "latency_mean_s": _NUMBER_OR_NULL,
+        "latency_sd_s": _NUMBER_OR_NULL,
+        "communication_mean_s": _NUMBER_OR_NULL,
+        "compute_mean_s": _NUMBER_OR_NULL,
+        "queueing_mean_s": _NUMBER_OR_NULL,
         "worker_load_percent": {"type": "object", "additionalProperties": {"type": "number"}},
         "worker_busy_fraction": {"type": "object", "additionalProperties": {"type": "number"}},
         "throughput_eps": {"type": "number"},
@@ -215,11 +218,11 @@ COMPARE_OUTPUT_SCHEMA = {
                     "name": {"type": "string"},
                     "analytic_load_percent": {"type": "number"},
                     "repeats": {"type": "integer"},
-                    "latency_mean_s": {"type": "number"},
-                    "latency_sd_s": {"type": "number"},
-                    "communication_mean_s": {"type": "number"},
-                    "compute_mean_s": {"type": "number"},
-                    "queueing_mean_s": {"type": "number"},
+                    "latency_mean_s": _NUMBER_OR_NULL,
+                    "latency_sd_s": _NUMBER_OR_NULL,
+                    "communication_mean_s": _NUMBER_OR_NULL,
+                    "compute_mean_s": _NUMBER_OR_NULL,
+                    "queueing_mean_s": _NUMBER_OR_NULL,
                 },
                 "required": [
                     "name", "analytic_load_percent", "repeats", "latency_mean_s",

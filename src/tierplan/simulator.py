@@ -144,11 +144,12 @@ class SimReport:
     generated: int
     completed: int
     measured: int                 # completed elements generated after warmup
-    latency_mean_s: float
-    latency_sd_s: float
-    communication_mean_s: float   # transfer + propagation
-    compute_mean_s: float         # preprocess + service
-    queueing_mean_s: float
+    # the four means and the sd are None when no element was measured
+    latency_mean_s: float | None
+    latency_sd_s: float | None
+    communication_mean_s: float | None   # transfer + propagation
+    compute_mean_s: float | None         # preprocess + service
+    queueing_mean_s: float | None
     worker_load_percent: dict[str, float]
     worker_busy_fraction: dict[str, float]
     throughput_eps: float         # elements completed per second, post warmup
@@ -377,8 +378,8 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         worker_load[worker_id] = demand / capacity * 100.0
         worker_busy[worker_id] = busy_s.get(worker_id, 0.0) / (window * device.cores)
 
-    def mean(values: list[float]) -> float:
-        return statistics.fmean(values) if values else 0.0
+    def mean(values: list[float]) -> float | None:
+        return statistics.fmean(values) if values else None
 
     return SimReport(
         params=params,
@@ -386,7 +387,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         completed=len(done),
         measured=len(sample),
         latency_mean_s=mean(latencies),
-        latency_sd_s=statistics.stdev(latencies) if len(latencies) > 1 else 0.0,
+        latency_sd_s=(statistics.stdev(latencies) if len(latencies) > 1 else 0.0) if latencies else None,
         communication_mean_s=mean([transfer[e] + propagation[e] for e in sample]),
         compute_mean_s=mean([pre[e] + service[e] for e in sample]),
         queueing_mean_s=mean([queue_wait[e] for e in sample]),

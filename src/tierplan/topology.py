@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
-from .config import DeploymentConfig, PlanError, TierPair, pair_key, worker_plan
+from .config import DeploymentConfig, TierPair, validate, worker_plan
 
 
 class TopologyError(ValueError):
@@ -145,22 +145,16 @@ class Topology:
 
 
 def build_topology(config: DeploymentConfig) -> Topology:
-    """Materialize a validated config.  Deterministic: same config, same ids,
-    same round-robin assignment."""
-    try:
-        plan = worker_plan(config)
-    except PlanError as exc:
-        raise TopologyError(str(exc)) from None
-
-    link_name = pair_key(plan.link)
-    if plan.link not in config.latency:
-        raise TopologyError(f"no latency entry for the {link_name} link")
-    throughput = config.throughput.get(plan.link)
-    if throughput is None or throughput <= 0:
-        raise TopologyError(f"no positive throughput entry for the {link_name} link")
+    """Materialize a config.  Deterministic: same config, same ids, same
+    round-robin assignment.  Raises TopologyError, carrying the error
+    messages of ``validate``, for a config that is not valid."""
+    errors = [d.message for d in validate(config) if d.severity == "error"]
+    if errors:
+        raise TopologyError("; ".join(errors))
+    plan = worker_plan(config)
 
     devices: list[Device] = []
-    workers: list[Device] = []
+    worker_ids: list[str] = []
     source_ids: list[str] = []
     for tier in ("cloud", "edge", "endpoint"):
         count = config.devices(tier)
@@ -178,27 +172,19 @@ def build_topology(config: DeploymentConfig) -> Topology:
                 role = "source"
             else:
                 role = "controller"
-            device = Device(device_id, tier, cores, quota, role)
-            devices.append(device)
+            devices.append(Device(device_id, tier, cores, quota, role))
             if role == "worker":
-                workers.append(device)
+                worker_ids.append(device_id)
             elif role == "source":
                 source_ids.append(device_id)
 
-    for worker in workers:
-        if capacity_of(worker) <= 0:
-            raise TopologyError(f"worker {worker.id} has no capacity (cores {worker.cores}, quota {worker.quota})")
-
-    worker_ids = [worker.id for worker in workers]
     assignment: dict[str, list[str]] = {wid: [] for wid in worker_ids}
     for j, source_id in enumerate(source_ids):
         assignment[worker_ids[j % len(worker_ids)]].append(source_id)
 
-    avg, sd = config.latency[plan.link]
-    link = Link(plan.link, avg, sd, throughput)
     return Topology(
         devices=tuple(devices),
-        links=(link,),
+        links=(Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),),
         assignment={wid: tuple(ids) for wid, ids in assignment.items()},
         endpoints_per_worker=plan.endpoints_per_worker,
     )

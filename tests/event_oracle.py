@@ -194,11 +194,12 @@ def simulate_events(topology, workload, params) -> dict:
         "generated": len(records),
         "completed": len(done),
         "measured": len(sample),
-        "latency_mean_s": statistics.fmean(latencies) if latencies else 0.0,
-        "latency_sd_s": statistics.stdev(latencies) if len(latencies) > 1 else 0.0,
-        "communication_mean_s": statistics.fmean(r.transfer + r.propagation for r in sample) if sample else 0.0,
-        "compute_mean_s": statistics.fmean(r.preprocess + r.service for r in sample) if sample else 0.0,
-        "queueing_mean_s": statistics.fmean(r.queue_wait for r in sample) if sample else 0.0,
+        # null latency statistics when nothing was measured
+        "latency_mean_s": statistics.fmean(latencies) if latencies else None,
+        "latency_sd_s": (statistics.stdev(latencies) if len(latencies) > 1 else 0.0) if latencies else None,
+        "communication_mean_s": statistics.fmean(r.transfer + r.propagation for r in sample) if sample else None,
+        "compute_mean_s": statistics.fmean(r.preprocess + r.service for r in sample) if sample else None,
+        "queueing_mean_s": statistics.fmean(r.queue_wait for r in sample) if sample else None,
         "worker_load_percent": {
             wid: w.arrivals * workload.proc_on(w.device.tier) / window / (w.device.cores * w.device.quota) * 100.0
             for wid, w in sorted(workers.items())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import jsonschema
 import pytest
 
 import tierplan
+from tierplan import cli, simulator
 from tierplan.cli import EXIT_ARGUMENT, EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from tierplan.schemas import (
     COMPARE_OUTPUT_SCHEMA,
@@ -20,6 +22,9 @@ from tierplan.schemas import (
     SIMULATE_OUTPUT_SCHEMA,
     VALIDATE_OUTPUT_SCHEMA,
 )
+from tierplan.topology import TopologyError
+
+LATENCY_FIELDS = ("latency_mean_s", "latency_sd_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")
 
 
 def run(capsys, *argv):
@@ -241,6 +246,14 @@ class TestSimulate:
         assert code == EXIT_ARGUMENT
         assert "budget" in err and out == ""
 
+    def test_nothing_measured_reports_null_latencies(self, capsys):
+        payload = run_json(capsys, "simulate", "edge-small", "--tproc", "edge=1000",
+                           "--duration", "5", "--json")
+        jsonschema.validate(payload, SIMULATE_OUTPUT_SCHEMA)
+        report = payload["report"]
+        assert report["measured"] == 0
+        assert [report[key] for key in LATENCY_FIELDS] == [None] * 5
+
     def test_trace_file(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         payload = run_json(capsys, "simulate", "mist", "--duration", "3", "--trace", str(trace))
@@ -273,6 +286,29 @@ class TestCompare:
                            "--repeats", "1", "--duration", "4")
         assert all(row["latency_sd_s"] == 0.0 for row in payload["presets"])
 
+    def test_preset_without_measured_elements_has_null_fields(self, capsys):
+        argv = ("compare", "edge-small", "mist", "--tproc", "edge=1000", "--repeats", "2", "--duration", "5")
+        payload = run_json(capsys, *argv, "--json")
+        jsonschema.validate(payload, COMPARE_OUTPUT_SCHEMA)
+        edge_small, mist = payload["presets"]
+        assert [edge_small[key] for key in LATENCY_FIELDS] == [None] * 5
+        assert None not in [mist[key] for key in LATENCY_FIELDS]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split()[2:] == ["-"] * 5
+
+    def test_only_measured_repeats_are_averaged(self, capsys, monkeypatch):
+        def second_repeat_measures_nothing(topology, workload, params):
+            report = simulator.simulate(topology, workload, params)
+            if params.seed == 43:
+                report = dataclasses.replace(report, measured=0, **dict.fromkeys(LATENCY_FIELDS))
+            return report
+
+        first = run_json(capsys, "compare", "cloud", "mist", "--json", "--repeats", "1", "--duration", "4")
+        monkeypatch.setattr(cli, "simulate", second_repeat_measures_nothing)
+        both = run_json(capsys, "compare", "cloud", "mist", "--json", "--repeats", "2", "--duration", "4")
+        assert both["presets"] == [dict(row, repeats=2) for row in first["presets"]]
+
     def test_single_preset_is_an_argument_error(self, capsys):
         code, _, err = run(capsys, "compare", "cloud")
         assert code == EXIT_ARGUMENT
@@ -293,6 +329,17 @@ class TestCompare:
                            "--repeats", "2", "--duration", "4")
         assert payload["manifest"]["seed"] == 100
         assert payload["manifest"]["parameters"]["repeats"] == 2
+
+
+def test_topology_errors_exit_with_the_config_code(capsys, monkeypatch):
+    def refuse(config):
+        raise TopologyError("refused")
+
+    monkeypatch.setattr(cli, "build_topology", refuse)
+    for argv in (["predict", "edge-small"], ["heatmap", "edge-small"], ["simulate", "edge-small"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, ""), argv
+        assert "refused" in err
 
 
 class TestParsing:

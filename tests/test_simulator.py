@@ -259,7 +259,8 @@ class TestLatencyIdentity:
         report = simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(5.0),
                           SimParams(duration=1.0, warmup=0.99, seed=1))
         assert report.measured == 0
-        assert report.communication_mean_s == report.compute_mean_s == report.queueing_mean_s == 0.0
+        assert report.latency_mean_s is None and report.latency_sd_s is None
+        assert report.communication_mean_s is report.compute_mean_s is report.queueing_mean_s is None
 
 
 class TestParams:
@@ -300,7 +301,7 @@ class TestParams:
         report = simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(0.0),
                           SimParams(duration=5.0))
         assert report.generated == 0
-        assert report.latency_mean_s == 0.0
+        assert report.latency_mean_s is None
 
 
 class TestTrace:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import tracemalloc
 
 import jsonschema
 import pytest
 
-from tierplan.config import load_preset, parse_config
+from tierplan.config import MAX_DEVICES, load_preset, parse_config, validate
 from tierplan.schemas import TOPOLOGY_SCHEMA
 from tierplan.topology import (
     DEFAULT_WORKLOAD,
@@ -88,6 +90,58 @@ class TestBuildErrors:
         stripped = dataclasses.replace(parse_config(minimal_config_text), latency={})
         with pytest.raises(TopologyError, match="link"):
             build_topology(stripped)
+
+
+class TestOneValidationPath:
+    EDGE_LINK = ("edge", "endpoint")
+
+    def test_negative_latency_is_refused_before_simulating(self):
+        # simulate used to report negative delays for -50 ms and to redraw
+        # forever for -1e5 ms
+        for latency in ((-50.0, 0.0), (-1e5, 1.0)):
+            config = dataclasses.replace(load_preset("edge-small"), latency={self.EDGE_LINK: latency})
+            with pytest.raises(TopologyError, match="latency for edge_to_endpoint"):
+                build_topology(config)
+
+    def test_error_carries_every_validate_error(self):
+        config = dataclasses.replace(load_preset("edge-small"), latency={self.EDGE_LINK: (-1.0, 0.0)},
+                                     quota_per_cpu=(1.0, 0.0, 0.5))
+        errors = [d.message for d in validate(config) if d.severity == "error"]
+        assert len(errors) == 2
+        with pytest.raises(TopologyError) as exc_info:
+            build_topology(config)
+        assert str(exc_info.value) == "; ".join(errors)
+
+    def test_non_finite_links_are_invalid(self):
+        preset = load_preset("edge-small")
+        unused = ("cloud", "cloud")
+        for change in (
+            {"throughput": {self.EDGE_LINK: 8.0, unused: math.inf}},
+            {"throughput": {self.EDGE_LINK: math.nan}},
+            {"latency": {self.EDGE_LINK: (7.5, math.inf)}},
+            {"latency": {self.EDGE_LINK: (math.inf, 0.0)}},
+        ):
+            config = dataclasses.replace(preset, **change)
+            assert [d.severity for d in validate(config) if "finite" in d.message] == ["error"], change
+            with pytest.raises(TopologyError, match="finite"):
+                build_topology(config)
+
+    def test_unpopulated_tier_quota_must_be_finite(self):
+        config = dataclasses.replace(load_preset("mist"), quota_per_cpu=(math.inf, 0.0, 0.5))
+        assert [d.key for d in validate(config)] == ["quota_per_cpu"]
+
+    def test_device_total_is_bounded_before_anything_is_built(self):
+        at_bound = dataclasses.replace(load_preset("edge-small"), devices_per_tier=(0, 1, MAX_DEVICES - 1))
+        assert validate(at_bound) == []
+        above = dataclasses.replace(at_bound, devices_per_tier=(0, 1, MAX_DEVICES))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TopologyError, match=f"more than the {MAX_DEVICES}"):
+                build_topology(above)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # one device takes about 250 bytes
 
 
 def test_local_topology_is_self_assigned():
