@@ -41,6 +41,7 @@ from .analytic import (
     DeploymentFamily,
     GridSpec,
     HeatmapGrid,
+    MAX_CELLS,
     NOT_VIABLE,
     OffloadOption,
     PLACEMENTS,

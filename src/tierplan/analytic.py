@@ -31,6 +31,10 @@ BANDWIDTH = "bandwidth"
 PLACEMENTS = ("endpoint", "edge", "cloud")
 NOT_VIABLE = "not-viable"
 
+# Largest grid a GridSpec accepts, in cells: heatmap --json peaks at about
+# 120 bytes per cell (see README, "CLI reference").
+MAX_CELLS = 1_000_000
+
 
 def system_load(demand: float, capacity: float) -> float:
     """Demand over capacity as a percentage.
@@ -234,6 +238,9 @@ class GridSpec:
             raise ValueError(f"grid ranges must be positive and finite, got rate_max={self.rate_max}, proc_max={self.proc_max}")
         if self.rate_steps < 2 or self.proc_steps < 2:
             raise ValueError("grid needs at least 2 samples per axis")
+        if self.rate_steps * self.proc_steps > MAX_CELLS:
+            raise ValueError(f"grid of {self.rate_steps} x {self.proc_steps} samples has more than "
+                             f"the {MAX_CELLS} cells a heatmap may have")
 
 
 def _anchor(workload: WorkloadProfile) -> float:

@@ -19,8 +19,11 @@ from pathlib import Path
 
 from . import __version__
 from .analytic import (
+    DeploymentFamily,
     GridSpec,
+    OffloadOption,
     REFERENCE_MARKERS,
+    Verdict,
     classify_at,
     family_from_topology,
     heatmap,
@@ -38,7 +41,7 @@ from .config import (
     parse_config,
     render_config,
 )
-from .simulator import SimParams, SimReport, simulate, write_trace_csv
+from .simulator import SimParams, simulate, write_trace_csv
 from .topology import DEFAULT_WORKLOAD, Topology, TopologyError, WorkloadProfile, build_topology
 
 EXIT_OK = 0
@@ -192,15 +195,23 @@ def _describe_verdict(verdict) -> str:
             f"data rate {verdict.required_bandwidth:.3g} Mbit/s per endpoint")
 
 
+def _first_offload(workload: WorkloadProfile,
+                   family: DeploymentFamily) -> tuple[str, OffloadOption, Verdict]:
+    """The placement of the family's first offload option, the option and
+    its verdict: the offload answer of ``predict`` and ``compare``."""
+    placement, option = next(iter(family.options.items()))
+    verdict = offload_viability(workload, family.endpoint, option.worker,
+                                option.endpoints_per_worker, option.link)
+    return placement, option, verdict
+
+
 def cmd_predict(args) -> int:
     config, preset, topology = _load_target(args.target)
     family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
 
     local = local_viability(workload, family.endpoint)
-    placement, option = next(iter(family.options.items()))
-    offload = offload_viability(workload, family.endpoint, option.worker,
-                                option.endpoints_per_worker, option.link)
+    placement, option, offload = _first_offload(workload, family)
 
     if args.json:
         payload = {
@@ -290,61 +301,48 @@ def cmd_simulate(args) -> int:
     return _emit(args, _json_body(payload))
 
 
-def _preset_summary(name: str, workload_args, repeats: int, base_seed: int,
-                    duration: float, warmup: float | None) -> dict:
-    config = load_preset(name)
-    topology = build_topology(config)
-    family = family_from_topology(topology)
-    workload = _resolve_workload(workload_args, config)
-    placement, option = next(iter(family.options.items()))
-    verdict = offload_viability(workload, family.endpoint, option.worker,
-                                option.endpoints_per_worker, option.link)
-    reports: list[SimReport] = []
-    for i in range(repeats):
-        params = SimParams(duration=duration, warmup=warmup, seed=base_seed + i)
-        reports.append(simulate(topology, workload, params))
+_MEANS = ("latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")
 
-    # only repeats that measured an element have latencies to average
-    measured = [r for r in reports if r.measured]
-    means = [r.latency_mean_s for r in measured]
 
-    def average(field: str) -> float | None:
-        return statistics.fmean([getattr(r, field) for r in measured]) if measured else None
+def _preset_summary(args, name: str, seed: int) -> tuple[dict, WorkloadProfile]:
+    """One row of the comparison and the workload the preset ran.  Only the
+    means of each repeat are kept, so memory does not grow with repeats."""
+    config, _, topology = _load_target(name)
+    workload = _resolve_workload(args, config)
+    _, _, verdict = _first_offload(workload, family_from_topology(topology))
+    means = []  # one tuple of _MEANS per repeat that measured an element
+    for i in range(args.repeats):
+        params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed + i)
+        report = simulate(topology, workload, params)
+        if report.measured:
+            means.append(tuple(getattr(report, key) for key in _MEANS))
+        del report  # free it before the next repeat is simulated
 
-    return {
-        "name": name,
-        "analytic_load_percent": verdict.load_percent,
-        "repeats": repeats,
-        "latency_mean_s": average("latency_mean_s"),
-        "latency_sd_s": (statistics.stdev(means) if len(means) > 1 else 0.0) if means else None,
-        "communication_mean_s": average("communication_mean_s"),
-        "compute_mean_s": average("compute_mean_s"),
-        "queueing_mean_s": average("queueing_mean_s"),
-    }
+    row = {"name": name, "analytic_load_percent": verdict.load_percent, "repeats": args.repeats,
+           "latency_sd_s": None, **dict.fromkeys(_MEANS)}
+    if means:  # only repeats that measured an element have latencies to average
+        columns = list(zip(*means))
+        row.update(zip(_MEANS, map(statistics.fmean, columns)))
+        row["latency_sd_s"] = statistics.stdev(columns[0]) if len(means) > 1 else 0.0
+    return row, workload
 
 
 def cmd_compare(args) -> int:
     if len(args.presets) < 2:
         raise CliError(EXIT_ARGUMENT, "compare needs at least two presets")
-    for name in args.presets:
-        if name not in PRESET_NAMES:
-            raise CliError(EXIT_ARGUMENT,
-                           f"unknown preset {name!r}; choose from: {', '.join(PRESET_NAMES)}")
     if args.repeats < 1:
         raise CliError(EXIT_ARGUMENT, f"--repeats must be at least 1, got {args.repeats}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
 
     try:
-        rows = [
-            _preset_summary(name, args, args.repeats, seed, args.duration, args.warmup)
-            for name in args.presets
-        ]
+        rows, workloads = zip(*(_preset_summary(args, name, seed) for name in args.presets))
     except ValueError as exc:
         raise CliError(EXIT_ARGUMENT, str(exc)) from None
     manifest = _manifest(
-        "compare", seed=seed, workload=_resolve_workload(args, None),
+        "compare", seed=seed,
         parameters={"presets": list(args.presets), "repeats": args.repeats,
-                    "duration": args.duration, "warmup": args.warmup},
+                    "duration": args.duration, "warmup": args.warmup,
+                    "workloads": {name: _workload_dict(w) for name, w in zip(args.presets, workloads)}},
     )
     if args.json:
         return _emit(args, _json_body({"manifest": manifest, "presets": rows}))
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", parents=[common, workload],
                        help="repeated simulations across presets, side by side")
-    p.add_argument("presets", nargs="+", metavar="PRESET",
+    p.add_argument("presets", nargs="+", metavar="PRESET", choices=PRESET_NAMES,
                    help=f"presets to compare ({', '.join(PRESET_NAMES)})")
     p.add_argument("--repeats", type=int, default=3, help="seeded repetitions per preset")
     p.add_argument("--duration", type=float, default=40.0, help="simulated seconds per run")

@@ -229,6 +229,8 @@ def worker_plan(config: DeploymentConfig) -> WorkerPlan:
         worker_tier, controllers, sources = "endpoint", 0, endpoint - workers
     else:
         raise PlanError("no devices in any tier; nothing can host processing")
+    if sources == 0:
+        raise PlanError(f"no data-generating endpoints for the {worker_tier} workers to serve")
     if sources % workers:
         raise PlanError(
             f"{sources} endpoints cannot be spread evenly over "
@@ -244,10 +246,29 @@ def worker_plan(config: DeploymentConfig) -> WorkerPlan:
     )
 
 
+def _unwritable_text(key: str, arity: str, value) -> str | None:
+    """Why ``render_config`` cannot write a text value back, or None.  The
+    parser strips the text around a value, reads one value per line and
+    splits a list at commas."""
+    listed = arity is _LIST
+    entries = value if listed else (value,)
+    if listed and not entries:
+        return f"{key} must list at least one entry"
+    for entry in entries:
+        if not isinstance(entry, str):
+            return f"{key} must be text, got {entry!r}"
+        if listed and (not entry or "," in entry):
+            return f"{key} entries must be non-empty and contain no comma, got {entry!r}"
+        if entry != entry.strip() or len(entry.splitlines()) > 1:
+            return f"{key} must not begin or end with whitespace or contain a line break, got {entry!r}"
+    return None
+
+
 def validate(config: DeploymentConfig) -> list[Diagnostic]:
     """All invariant violations in ``config``.
 
-    No error-severity entry means the config can be turned into a topology.
+    No error-severity entry means the config can be turned into a topology
+    and that ``render_config`` writes it back as text that parses to it.
     Emulation-only keys that are present each contribute one warning.
     """
     diags: list[Diagnostic] = []
@@ -315,6 +336,13 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
             error(pair_key(pair), msg)
         else:
             diags.append(Diagnostic("warning", pair_key(pair), msg + " (link unused by this deployment)"))
+
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        for key, (arity, kind) in table.items():
+            if kind is _TEXT and (value := getattr(record, key)) is not None:
+                if message := _unwritable_text(key, arity, value):
+                    error(key, message)
 
     for key in EMULATION_KEYS:
         if getattr(config, key) is not None:

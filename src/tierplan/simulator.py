@@ -35,11 +35,11 @@ never makes: offloaded sources with different preprocessing times, and a
 worker that processes its own elements and other sources' too.
 
 Per-element results are kept as columns (one list per field); records are
-built only for ``SimReport.elements``.  Each element carries five duration
-components (preprocess, transfer, propagation, queue wait, service); waiting
-for the endpoint CPU counts into preprocess and waiting for the link into
-transfer.  End-to-end latency is defined as the exact sum of the five
-components.
+built only for ``SimReport.elements``, and ``write_trace_csv`` streams its
+rows from the columns.  Each element carries five duration components
+(preprocess, transfer, propagation, queue wait, service); waiting for the
+endpoint CPU counts into preprocess and waiting for the link into transfer.
+End-to-end latency is defined as the exact sum of the five components.
 """
 
 from __future__ import annotations
@@ -130,13 +130,6 @@ class _Columns:
             for source, worker in self.sources:
                 yield (source, worker, index, generated, *next(values))
 
-    def trace_rows(self) -> Iterator[tuple]:
-        """Trace rows in ``_TRACE_COLUMNS`` order; the end-to-end latency is
-        None for elements that did not complete."""
-        for source, worker, index, generated, pre, tx, prop, wait, svc, completed, phase in self.rows():
-            total = pre + tx + prop + wait + svc if phase == "done" else None
-            yield source, worker, index, generated, pre, tx, prop, wait, svc, total, completed, phase
-
 
 @dataclass
 class SimReport:
@@ -144,7 +137,8 @@ class SimReport:
     generated: int
     completed: int
     measured: int                 # completed elements generated after warmup
-    # the four means and the sd are None when no element was measured
+    # the four means are None when no element was measured, the sd when
+    # fewer than two were
     latency_mean_s: float | None
     latency_sd_s: float | None
     communication_mean_s: float | None   # transfer + propagation
@@ -163,8 +157,8 @@ class SimReport:
         """One record per element, in generation order; built on first use."""
         return tuple(ElementRecord(*row) for row in self.columns.rows())
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "duration_s": self.params.duration,
             "warmup_s": self.params.warmup_s,
             "seed": self.params.seed,
@@ -183,9 +177,6 @@ class SimReport:
             "backlog_at_warmup": self.backlog_at_warmup,
             "phase_counts": dict(self.phase_counts),
         }
-        if include_trace:
-            data["trace"] = [dict(zip(_TRACE_COLUMNS, row)) for row in self.columns.trace_rows()]
-        return data
 
 
 def _generation_times(rate: float, duration: float, max_elements: int | None) -> list[float]:
@@ -316,8 +307,8 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
 
 
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
-    """Run one seeded simulation and return aggregate metrics plus the full
-    per-element trace.
+    """Run one seeded simulation and return aggregate metrics plus every
+    element's stage times.
 
     Raises ValueError for a non-finite or negative rate, a topology without
     workers, offloaded sources without a link, a run of more than
@@ -387,7 +378,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         completed=len(done),
         measured=len(sample),
         latency_mean_s=mean(latencies),
-        latency_sd_s=(statistics.stdev(latencies) if len(latencies) > 1 else 0.0) if latencies else None,
+        latency_sd_s=statistics.stdev(latencies) if len(latencies) > 1 else None,
         communication_mean_s=mean([transfer[e] + propagation[e] for e in sample]),
         compute_mean_s=mean([pre[e] + service[e] for e in sample]),
         queueing_mean_s=mean([queue_wait[e] for e in sample]),
@@ -402,7 +393,12 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
 
 
 def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
-    """One CSV row per element, completed or not."""
+    """One CSV row per element, completed or not, in generation order; the
+    end-to-end latency is empty for elements that did not complete."""
     writer = csv.writer(stream)
     writer.writerow(_TRACE_COLUMNS)
-    writer.writerows(report.columns.trace_rows())
+    writer.writerows(
+        (source, worker, index, generated, pre, tx, prop, wait, svc,
+         pre + tx + prop + wait + svc if phase == "done" else None, completed, phase)
+        for source, worker, index, generated, pre, tx, prop, wait, svc, completed, phase in report.columns.rows()
+    )

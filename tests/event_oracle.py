@@ -4,7 +4,8 @@ kept as the oracle of the differential test in ``test_engine_oracle.py``.
 Events are ordered by (time, insertion sequence).  Every float operation is
 the one the old engine performed, so the stage-wise engine must reproduce
 the oracle bit for bit.  ``simulate_events`` returns the report dict that
-``SimReport.to_dict(include_trace=True)`` produces.
+``SimReport.to_dict()`` produces, plus one dict per element under
+``"trace"``, keyed by the trace CSV's columns.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def simulate_events(topology, workload, params) -> dict:
         "measured": len(sample),
         # null latency statistics when nothing was measured
         "latency_mean_s": statistics.fmean(latencies) if latencies else None,
-        "latency_sd_s": (statistics.stdev(latencies) if len(latencies) > 1 else 0.0) if latencies else None,
+        # no spread without two measured elements
+        "latency_sd_s": statistics.stdev(latencies) if len(latencies) > 1 else None,
         "communication_mean_s": statistics.fmean(r.transfer + r.propagation for r in sample) if sample else None,
         "compute_mean_s": statistics.fmean(r.preprocess + r.service for r in sample) if sample else None,
         "queueing_mean_s": statistics.fmean(r.queue_wait for r in sample) if sample else None,

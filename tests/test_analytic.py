@@ -8,6 +8,7 @@ capacity = cores x quota, before comparing with the implementation.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from tierplan.analytic import (
     DEFAULT_POLICY,
     DeploymentFamily,
     GridSpec,
+    MAX_CELLS,
     NOT_VIABLE,
     OffloadOption,
     PREPROCESS_CAPACITY,
@@ -248,6 +250,18 @@ class TestHeatmap:
             GridSpec(proc_max=math.inf)
         with pytest.raises(ValueError):
             GridSpec(rate_steps=1)
+
+    def test_cell_count_is_bounded_before_anything_is_built(self):
+        GridSpec(rate_steps=MAX_CELLS // 2, proc_steps=2)  # exactly at the bound
+        tracemalloc.start()
+        try:
+            for rate_steps, proc_steps in ((MAX_CELLS // 2 + 1, 2), (100_000, 100_000)):
+                with pytest.raises(ValueError, match=f"more than the {MAX_CELLS} cells"):
+                    GridSpec(rate_steps=rate_steps, proc_steps=proc_steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # one cell takes about 120 bytes in heatmap --json
 
     def test_grid_shape_and_axes(self):
         spec = GridSpec(rate_max=10.0, proc_max=0.5, rate_steps=5, proc_steps=3)

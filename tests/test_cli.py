@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -170,6 +171,18 @@ class TestHeatmap:
             code, _, err = run(capsys, "heatmap", "--rmax", rmax)
             assert code == EXIT_ARGUMENT, rmax
 
+    def test_grid_over_the_cell_bound_is_refused(self, capsys):
+        # 1001 x 1001 = 1,002,001 cells, just over MAX_CELLS
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "heatmap", "--json", "--resolution", "1001")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (EXIT_ARGUMENT, "")
+        assert "cells" in err
+        assert peak < 1024 * 1024  # the grid would take about 120 MB
+
     def test_unusable_tproc_is_an_argument_error(self, capsys):
         # inf is not a number JSON can carry; 0 leaves the grid without an anchor
         for tproc in ("edge=inf", "endpoint=0"):
@@ -324,6 +337,32 @@ class TestCompare:
             code, _, _ = run(capsys, "compare", "cloud", "mist", "--duration", duration)
             assert code == EXIT_ARGUMENT, duration
 
+    def test_manifest_records_each_presets_workload(self, capsys):
+        flags = ("--tproc", "edge=0.2", "--size", "1.5")
+        payload = run_json(capsys, "compare", "edge-small", "mist", "--json", "--repeats", "1",
+                           "--duration", "2", *flags)
+        jsonschema.validate(payload, COMPARE_OUTPUT_SCHEMA)
+        manifest = payload["manifest"]
+        assert manifest["workload"] is None
+        for name in ("edge-small", "mist"):
+            predicted = run_json(capsys, "predict", name, "--json", *flags)["manifest"]["workload"]
+            assert manifest["parameters"]["workloads"][name] == predicted
+        assert manifest["parameters"]["workloads"]["mist"]["proc_time_s"]["edge"] == 0.2
+
+    def test_memory_does_not_grow_with_repeats(self, capsys):
+        """Each repeat's report is dropped once its means are read."""
+        def peak(repeats):
+            tracemalloc.start()
+            try:
+                run_json(capsys, "compare", "cloud", "mist", "--repeats", str(repeats), "--duration", "40", "--json")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_json(capsys, "compare", "cloud", "mist", "--repeats", "1", "--duration", "1", "--json")  # warm up
+        one, eight = peak(1), peak(8)
+        assert eight < 2 * one, (one, eight)
+
     def test_repeats_use_consecutive_seeds(self, capsys):
         payload = run_json(capsys, "compare", "cloud", "mist", "--json", "--seed", "100",
                            "--repeats", "2", "--duration", "4")
@@ -336,10 +375,24 @@ def test_topology_errors_exit_with_the_config_code(capsys, monkeypatch):
         raise TopologyError("refused")
 
     monkeypatch.setattr(cli, "build_topology", refuse)
-    for argv in (["predict", "edge-small"], ["heatmap", "edge-small"], ["simulate", "edge-small"]):
+    for argv in (["predict", "edge-small"], ["heatmap", "edge-small"], ["simulate", "edge-small"],
+                 ["compare", "edge-small", "mist"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, ""), argv
         assert "refused" in err
+
+
+def test_config_without_endpoints_exits_with_the_config_code(capsys, tmp_path):
+    path = tmp_path / "no-endpoints.conf"
+    path.write_text("[infrastructure]\ndevices_per_tier = 0,1,0\ncores_per_device = 0,2,0\n"
+                    "quota_per_cpu = 0,0.75,0\nedge_to_endpoint = 7.5,1\nedge_to_endpoint = 8\n")
+    code, out, _ = run(capsys, "validate", str(path), "--json")
+    assert code == EXIT_CONFIG
+    assert [d["key"] for d in json.loads(out)["diagnostics"]] == ["devices_per_tier"]
+    for command in ("predict", "heatmap", "simulate"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (EXIT_CONFIG, ""), command
+        assert "no data-generating endpoints" in err
 
 
 class TestParsing:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from tierplan.config import (
@@ -194,6 +196,49 @@ class TestValidate:
     def test_validate_accepts_all_presets_clean(self):
         for name in PRESET_NAMES:
             assert validate(load_preset(name)) == []
+
+    def test_config_without_endpoints_is_rejected(self):
+        for counts in ("0,1,0", "1,0,0"):
+            text = (f"[infrastructure]\ndevices_per_tier = {counts}\ncores_per_device = 1,1,0\n"
+                    "quota_per_cpu = 1,1,0\ncloud_to_endpoint = 1,0\ncloud_to_endpoint = 8\n"
+                    "edge_to_endpoint = 1,0\nedge_to_endpoint = 8\n")
+            config, diags = check_config(text)
+            assert config is None, counts
+            assert [d.key for d in errors_of(diags)] == ["devices_per_tier"], counts
+            assert "no data-generating endpoints" in errors_of(diags)[0].message
+
+
+class TestTextValues:
+    """Text ``render_config`` could not write back is an error; its accepted
+    neighbours roundtrip."""
+
+    BASE = load_preset("edge-small")
+
+    def with_text(self, **changes):
+        benchmark = {key: changes.pop(key) for key in ("application", "resource_manager") if key in changes}
+        return dataclasses.replace(self.BASE, benchmark=dataclasses.replace(self.BASE.benchmark, **benchmark),
+                                   **changes)
+
+    @pytest.mark.parametrize("changes", [
+        {"application": " x"}, {"application": "x "}, {"application": "\tx"},
+        {"application": "a\n[benchmark]"}, {"resource_manager": "a\rb"}, {"hypervisor": "kvm\u2028"},
+        {"hypervisor": " "}, {"machine_address": ()}, {"machine_address": ("10.0.0.1", "")},
+        {"machine_address": ("10.0.0.1,10.0.0.2",)}, {"machine_address": (" 10.0.0.1",)},
+        {"machine_address": ("a\nb",)}, {"application": 5},
+    ])
+    def test_unwritable_text_is_an_error(self, changes):
+        (key,) = changes
+        assert [d.key for d in errors_of(validate(self.with_text(**changes)))] == [key]
+
+    @pytest.mark.parametrize("changes", [
+        {"application": "x"}, {"application": "a b"}, {"application": ""}, {"application": "a=b # c"},
+        {"resource_manager": "[benchmark]"}, {"hypervisor": ""}, {"hypervisor": "qemu kvm"},
+        {"machine_address": ("10.0.0.1",)}, {"machine_address": ("a b", "c=d")},
+    ])
+    def test_writable_neighbours_roundtrip(self, changes):
+        config = self.with_text(**changes)
+        assert errors_of(validate(config)) == []
+        assert parse_config(render_config(config)) == config
 
 
 class TestWorkerPlan:

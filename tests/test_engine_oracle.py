@@ -3,12 +3,15 @@ topologies the engine declines."""
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from event_oracle import simulate_events
 from hypothesis import given, settings, strategies as st
 
 from tierplan.config import BenchmarkConfig, DeploymentConfig, load_preset, tier_pair
-from tierplan.simulator import MAX_ELEMENTS, SimParams, simulate
+from tierplan.simulator import MAX_ELEMENTS, SimParams, simulate, write_trace_csv
 from tierplan.topology import Device, Link, Topology, WorkloadProfile, build_topology, local_topology
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -72,22 +75,24 @@ def run_params(draw):
 
 
 def assert_same_run(topology, workload, params):
-    """Every report field, every trace row and every record field equal the
-    oracle's.  Values are compared by repr, which tells -0.0 from 0.0, so the
-    comparison is bit for bit; rows are compared one at a time to keep a
+    """Every report field, every record field and every trace CSV field equal
+    the oracle's.  Values are compared by repr, which tells -0.0 from 0.0, and
+    CSV fields with the text of the value, which round-trips every float, so
+    the comparison is bit for bit; rows are compared one at a time to keep a
     failure's message short."""
     report = simulate(topology, workload, params)
     expected = simulate_events(topology, workload, params)
     expected_trace = expected.pop("trace")
-    got = report.to_dict(include_trace=True)
-    got_trace = got.pop("trace")
-    assert repr(got) == repr(expected)
-    assert len(got_trace) == len(report.elements) == len(expected_trace)
-    for row, r, want in zip(got_trace, report.elements, expected_trace):
-        assert repr(row) == repr(want)
+    assert repr(report.to_dict()) == repr(expected)
+    buffer = io.StringIO()
+    write_trace_csv(report, buffer)
+    header, *csv_rows = csv.reader(io.StringIO(buffer.getvalue()))
+    assert len(csv_rows) == len(report.elements) == len(expected_trace)
+    for row, r, want in zip(csv_rows, report.elements, expected_trace):
         fields = (r.source, r.worker, r.index, r.generated, r.preprocess, r.transfer, r.propagation,
                   r.queue_wait, r.service, r.end_to_end if r.phase == "done" else None, r.completed, r.phase)
         assert repr(fields) == repr(tuple(want.values()))
+        assert list(zip(header, row)) == [(key, "" if value is None else str(value)) for key, value in want.items()]
 
 
 class TestMatchesTheEventLoop:

@@ -232,7 +232,8 @@ class TestSimulationProperties:
         params = SimParams(duration=duration, seed=seed)
         first = simulate(PRESET_TOPOLOGIES[name], QUICK_WORKLOAD, params)
         second = simulate(PRESET_TOPOLOGIES[name], QUICK_WORKLOAD, params)
-        assert first.to_dict(include_trace=True) == second.to_dict(include_trace=True)
+        assert first.to_dict() == second.to_dict()
+        assert first.elements == second.elements
 
     @settings(max_examples=12, deadline=None)
     @given(

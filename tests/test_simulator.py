@@ -211,7 +211,8 @@ class TestDeterminism:
         params = SimParams(duration=8.0, seed=7)
         a = simulate(topo, DEFAULT_WORKLOAD, params)
         b = simulate(topo, DEFAULT_WORKLOAD, params)
-        assert a.to_dict(include_trace=True) == b.to_dict(include_trace=True)
+        assert a.to_dict() == b.to_dict()
+        assert a.elements == b.elements
 
     def test_different_seed_changes_the_jitter(self):
         topo = build_topology(load_preset("edge-small"))
@@ -261,6 +262,12 @@ class TestLatencyIdentity:
         assert report.measured == 0
         assert report.latency_mean_s is None and report.latency_sd_s is None
         assert report.communication_mean_s is report.compute_mean_s is report.queueing_mean_s is None
+
+    def test_one_measured_element_has_no_spread(self):
+        report = simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(5.0),
+                          SimParams(duration=1.0, warmup=0.5, seed=1))
+        assert report.measured == 1
+        assert report.latency_mean_s is not None and report.latency_sd_s is None
 
 
 class TestParams:
@@ -329,10 +336,10 @@ class TestTrace:
         assert all(row["end_to_end_s"] == "" for row in pending)
 
 
-def test_report_dict_has_no_trace_by_default():
+def test_report_dict_has_no_trace():
+    """Per-element data leaves a run as ``elements`` or the trace CSV only."""
     report = simulate(local_topology(1), uniform_workload(proc=0.01, rate=1.0),
                       SimParams(duration=2.0))
     data = report.to_dict()
     assert "trace" not in data
     assert data["seed"] == 0
-    assert "trace" in report.to_dict(include_trace=True)
