@@ -160,7 +160,13 @@ def _emit(args, body: str) -> int:
 
 
 def _json_body(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The payload as JSON.  JSON has no infinity or NaN, so a result that
+    holds one is refused with exit 2 instead of written as ``Infinity``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise CliError(EXIT_ARGUMENT, "the inputs give a result that is not finite, "
+                                      "which JSON cannot hold; use smaller values") from None
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +296,8 @@ def cmd_simulate(args) -> int:
         parameters={"duration": args.duration, "warmup": params.warmup_s,
                     "max_elements": args.max_elements},
     )
+    # the body first, so a result that JSON cannot hold leaves no trace file
+    body = _json_body({"manifest": manifest, "report": report.to_dict()})
     if args.trace:
         try:
             with open(args.trace, "w") as stream:
@@ -297,8 +305,7 @@ def cmd_simulate(args) -> int:
                 write_trace_csv(report, stream)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write {args.trace}: {exc}") from None
-    payload = {"manifest": manifest, "report": report.to_dict()}
-    return _emit(args, _json_body(payload))
+    return _emit(args, body)
 
 
 _MEANS = ("latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")

@@ -35,23 +35,26 @@ never makes: offloaded sources with different preprocessing times, and a
 worker that processes its own elements and other sources' too.
 
 Per-element results are kept as columns (one list per field); records are
-built only for ``SimReport.elements``, and ``write_trace_csv`` streams its
-rows from the columns.  Each element carries five duration components
-(preprocess, transfer, propagation, queue wait, service); waiting for the
-endpoint CPU counts into preprocess and waiting for the link into transfer.
-End-to-end latency is defined as the exact sum of the five components.
+built only for ``SimReport.elements``, and ``write_trace_csv`` formats the
+columns a chunk of rounds at a time.  Each element carries five duration
+components (preprocess, transfer, propagation, queue wait, service);
+waiting for the endpoint CPU counts into preprocess and waiting for the
+link into transfer.  End-to-end latency is defined as the exact sum of the
+five components.
 """
 
 from __future__ import annotations
 
 import bisect
 import csv
+import io
+import itertools
 import math
 import random
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import IO, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .topology import Device, Link, Topology, WorkloadProfile
 
@@ -105,6 +108,7 @@ _TRACE_COLUMNS = (
     "source", "worker", "index", "generated_s", "preprocess_s", "transfer_s",
     "propagation_s", "queue_wait_s", "service_s", "end_to_end_s", "completed_s", "phase",
 )
+_TRACE_CHUNK_ROWS = 2000  # rows write_trace_csv formats at a time, in whole rounds
 
 
 @dataclass
@@ -223,6 +227,29 @@ def _assign(topology: Topology, workload: WorkloadProfile,
     return sources, ranks, pre_times.pop() if pre_times else 0.0
 
 
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # as random.NV_MAGICCONST
+
+
+def _truncated_normal(uniform: Callable[[], float], mu: float, sigma: float, count: int) -> list[float]:
+    """``count`` draws of ``random.Random.normalvariate(mu, sigma)`` from
+    the stream ``uniform`` (a ``Random.random``), each redrawn while it is
+    negative.  normalvariate's Kinderman-Monahan loop is inlined with its
+    float operations unchanged, which saves a method call per draw and pins
+    the stream to this algorithm whatever a later Python does."""
+    log, values = math.log, []
+    for _ in range(count):
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                value = mu + z * sigma
+                if value >= 0:  # truncate at zero by redrawing
+                    break
+        values.append(value)
+    return values
+
+
 def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_s: float, link: Link,
              workload: WorkloadProfile, duration: float, seed: int) -> None:
     """Endpoint CPU, link and propagation of the offloaded sources' elements:
@@ -251,16 +278,12 @@ def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_
         columns.phase[rank:n_sent:n_sources] = ["transit"] * len(sent)
 
     avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
-    draw = random.Random(seed).normalvariate
-    propagation = columns.propagation
+    uniform = random.Random(seed).random
+    propagation, m = columns.propagation, len(offloaded)
     for k, x in enumerate(sent):  # in transmit order: round, then rank
         base = k * n_sources
-        for rank in offloaded:
-            value = avg_s
-            if sd_s != 0:
-                value = draw(avg_s, sd_s)
-                while not value >= 0:  # truncate at zero by redrawing
-                    value = draw(avg_s, sd_s)
+        delays = [avg_s] * m if sd_s == 0 else _truncated_normal(uniform, avg_s, sd_s, m)
+        for rank, value in zip(offloaded, delays):
             propagation[base + rank] = value
             arrival[base + rank] = x + value
 
@@ -392,13 +415,58 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     )
 
 
+def _csv_prefixes(sources: list[tuple[str, str]]) -> list[str]:
+    """The ``source,worker`` cells of each rank as ``csv.writer`` writes
+    them, quoting included."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    prefixes = []
+    for ids in sources:
+        writer.writerow(ids)
+        prefixes.append(buffer.getvalue()[:-2])  # without the writer's "\r\n"
+        buffer.seek(0)
+        buffer.truncate()
+    return prefixes
+
+
+def _format_shared(values: list[float]) -> Iterable[str]:
+    """``repr`` of each value, each distinct value formatted once.  0.0 and
+    -0.0 are one key but two texts, so values where any has its sign bit set
+    are formatted one by one."""
+    if min(map(math.copysign, itertools.repeat(1.0), values), default=1.0) < 0:
+        return map(repr, values)
+    table = {value: repr(value) for value in set(values)}
+    return map(table.__getitem__, values)
+
+
 def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     """One CSV row per element, completed or not, in generation order; the
-    end-to-end latency is empty for elements that did not complete."""
-    writer = csv.writer(stream)
-    writer.writerow(_TRACE_COLUMNS)
-    writer.writerows(
-        (source, worker, index, generated, pre, tx, prop, wait, svc,
-         pre + tx + prop + wait + svc if phase == "done" else None, completed, phase)
-        for source, worker, index, generated, pre, tx, prop, wait, svc, completed, phase in report.columns.rows()
-    )
+    end-to-end latency is empty for elements that did not complete.
+
+    The bytes are those ``csv.writer`` writes with its default dialect
+    (floats by ``repr``, ``None`` empty, ``\r\n`` line ends).  Rows are
+    formatted column by column, in chunks of whole rounds of about
+    ``_TRACE_CHUNK_ROWS`` rows; the ``source,worker`` cells of a rank and the
+    ``index,generated_s`` cells of a round are formatted once, and so is each
+    distinct preprocess, transfer and service time of a chunk."""
+    columns = report.columns
+    stream.write(",".join(_TRACE_COLUMNS) + "\r\n")
+    if not columns.sources:
+        return
+    prefixes = _csv_prefixes(columns.sources)
+    n_sources = len(prefixes)
+    chunk = max(1, _TRACE_CHUNK_ROWS // n_sources)  # rounds per chunk
+    for k0 in range(0, len(columns.generated), chunk):
+        heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k0 + chunk], k0)]
+        lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
+        pre, tx, prop, wait, svc = (column[lo:hi] for column in (
+            columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
+        phase = columns.phase[lo:hi]
+        total = [repr(a + b + c + d + e) if p == "done" else ""
+                 for a, b, c, d, e, p in zip(pre, tx, prop, wait, svc, phase)]
+        completed = ["" if end is None else repr(end) for end in columns.completed[lo:hi]]
+        rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],
+                   _format_shared(pre), _format_shared(tx), map(repr, prop), map(repr, wait),
+                   _format_shared(svc), total, completed, phase)
+        stream.write("\r\n".join(map(",".join, rows)))
+        stream.write("\r\n")

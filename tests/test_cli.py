@@ -121,6 +121,12 @@ class TestPredict:
             assert code == EXIT_ARGUMENT, flags
             assert out == ""
 
+    def test_result_json_cannot_hold_is_an_argument_error(self, capsys):
+        # finite inputs whose load and data rate overflow to infinity
+        code, out, err = run(capsys, "predict", "edge-small", "--rate", "1e308", "--size", "1e308", "--json")
+        assert code == EXIT_ARGUMENT
+        assert out == "" and "not finite" in err
+
     def test_missing_target_file(self, capsys):
         code, _, _ = run(capsys, "predict", "no-such-preset")
         assert code == EXIT_IO
@@ -258,6 +264,15 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "cloud", "--duration", "1e9")
         assert code == EXIT_ARGUMENT
         assert "budget" in err and out == ""
+
+    def test_result_json_cannot_hold_is_refused_before_the_trace(self, capsys, tmp_path):
+        # a finite service time whose worker load overflows to infinity
+        trace = tmp_path / "trace.csv"
+        code, out, err = run(capsys, "simulate", "edge-small", "--tproc", "edge=1e308", "--duration", "4",
+                             "--json", "--trace", str(trace))
+        assert code == EXIT_ARGUMENT
+        assert out == "" and "not finite" in err
+        assert not trace.exists()
 
     def test_nothing_measured_reports_null_latencies(self, capsys):
         payload = run_json(capsys, "simulate", "edge-small", "--tproc", "edge=1000",
