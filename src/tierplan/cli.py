@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .config import (
     parse_config,
     render_config,
 )
-from .simulator import SimParams, simulate, write_trace_csv
+from .simulator import MAX_ELEMENTS, SimParams, estimated_elements, mean, simulate, write_trace_csv
 from .topology import DEFAULT_WORKLOAD, Topology, TopologyError, WorkloadProfile, build_topology
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ class CliError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
 
 
@@ -92,12 +92,6 @@ def _load_target(target: str) -> tuple[DeploymentConfig, str | None, Topology]:
         raise CliError(EXIT_CONFIG, str(exc)) from None
 
 
-def _nonnegative(value: float | None, flag: str) -> float | None:
-    if value is not None and not (value >= 0 and math.isfinite(value)):
-        raise CliError(EXIT_ARGUMENT, f"{flag} must be finite and non-negative, got {value}")
-    return value
-
-
 def _resolve_workload(args, config: DeploymentConfig | None) -> WorkloadProfile:
     """Built-in profile, rate from the config's benchmark section when
     present, both overridable by flags."""
@@ -106,23 +100,21 @@ def _resolve_workload(args, config: DeploymentConfig | None) -> WorkloadProfile:
         tier, sep, value = entry.partition("=")
         if not sep or tier not in TIERS:
             raise CliError(EXIT_ARGUMENT, f"--tproc takes TIER=SECONDS with tier one of {', '.join(TIERS)}, got {entry!r}")
-        try:
-            proc[tier] = float(value)
-        except ValueError:
-            raise CliError(EXIT_ARGUMENT, f"--tproc {entry!r}: not a number") from None
-        _nonnegative(proc[tier], "--tproc")
+        proc[tier] = float(value)  # a ValueError ends in exit 2, in main
     rate = args.rate
     if rate is None:
         if config is not None and config.benchmark.data_generation_frequency > 0:
             rate = config.benchmark.data_generation_frequency
         else:
             rate = DEFAULT_WORKLOAD.rate
-    return WorkloadProfile(
+    workload = WorkloadProfile(
         proc_time=proc,
-        pre_time=_nonnegative(args.tpre, "--tpre") if args.tpre is not None else DEFAULT_WORKLOAD.pre_time,
-        rate=_nonnegative(rate, "--rate"),
-        element_size=_nonnegative(args.size, "--size") if args.size is not None else DEFAULT_WORKLOAD.element_size,
+        pre_time=args.tpre if args.tpre is not None else DEFAULT_WORKLOAD.pre_time,
+        rate=rate,
+        element_size=args.size if args.size is not None else DEFAULT_WORKLOAD.element_size,
     )
+    workload.check()
+    return workload
 
 
 def _workload_dict(workload: WorkloadProfile) -> dict:
@@ -219,13 +211,14 @@ def cmd_predict(args) -> int:
     local = local_viability(workload, family.endpoint)
     placement, option, offload = _first_offload(workload, family)
 
+    # the JSON body on both paths, so the text refuses what JSON cannot hold
+    body = _json_body({
+        "manifest": _manifest("predict", preset=preset, config=config, workload=workload),
+        "local": local.to_dict(),
+        "offload": {"placement": placement, **offload.to_dict()},
+    })
     if args.json:
-        payload = {
-            "manifest": _manifest("predict", preset=preset, config=config, workload=workload),
-            "local": local.to_dict(),
-            "offload": {"placement": placement, **offload.to_dict()},
-        }
-        return _emit(args, _json_body(payload))
+        return _emit(args, body)
     endpoint = family.endpoint
     worker = option.worker
     lines = [
@@ -240,11 +233,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    try:
-        spec = GridSpec(rate_max=args.rmax, proc_max=args.tmax,
-                        rate_steps=args.resolution, proc_steps=args.resolution)
-    except ValueError as exc:
-        raise CliError(EXIT_ARGUMENT, str(exc)) from None
+    spec = GridSpec(rate_max=args.rmax, proc_max=args.tmax,
+                    rate_steps=args.resolution, proc_steps=args.resolution)
     if args.target is None:
         config, preset = None, None
         family = reference_family()
@@ -253,15 +243,12 @@ def cmd_heatmap(args) -> int:
         family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
 
-    try:
-        grid = heatmap(spec, workload, family)
-        markers = [
-            {"label": label, "rate_hz": rate, "proc_s": proc,
-             "class": classify_at(workload, family, rate, proc)}
-            for label, rate, proc in REFERENCE_MARKERS
-        ]
-    except ValueError as exc:
-        raise CliError(EXIT_ARGUMENT, str(exc)) from None
+    grid = heatmap(spec, workload, family)
+    markers = [
+        {"label": label, "rate_hz": rate, "proc_s": proc,
+         "class": classify_at(workload, family, rate, proc)}
+        for label, rate, proc in REFERENCE_MARKERS
+    ]
     manifest = _manifest(
         "heatmap", preset=preset, config=config,
         config_text=None if config is not None else "reference family",
@@ -284,12 +271,9 @@ def cmd_simulate(args) -> int:
     config, preset, topology = _load_target(args.target)
     workload = _resolve_workload(args, config)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    try:
-        params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed,
-                           max_elements=args.max_elements)
-        report = simulate(topology, workload, params)
-    except ValueError as exc:
-        raise CliError(EXIT_ARGUMENT, str(exc)) from None
+    params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed,
+                       max_elements=args.max_elements)
+    report = simulate(topology, workload, params)
 
     manifest = _manifest(
         "simulate", seed=seed, preset=preset, config=config, workload=workload,
@@ -311,27 +295,26 @@ def cmd_simulate(args) -> int:
 _MEANS = ("latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")
 
 
-def _preset_summary(args, name: str, seed: int) -> tuple[dict, WorkloadProfile]:
-    """One row of the comparison and the workload the preset ran.  Only the
-    means of each repeat are kept, so memory does not grow with repeats."""
-    config, _, topology = _load_target(name)
-    workload = _resolve_workload(args, config)
+def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
+                    params: SimParams, repeats: int) -> dict:
+    """One row of the comparison: ``repeats`` runs from ``params.seed`` on.
+    Only the means of each repeat are kept, so memory does not grow with
+    repeats."""
     _, _, verdict = _first_offload(workload, family_from_topology(topology))
     means = []  # one tuple of _MEANS per repeat that measured an element
-    for i in range(args.repeats):
-        params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed + i)
-        report = simulate(topology, workload, params)
+    for i in range(repeats):
+        report = simulate(topology, workload, replace(params, seed=params.seed + i))
         if report.measured:
             means.append(tuple(getattr(report, key) for key in _MEANS))
         del report  # free it before the next repeat is simulated
 
-    row = {"name": name, "analytic_load_percent": verdict.load_percent, "repeats": args.repeats,
+    row = {"name": name, "analytic_load_percent": verdict.load_percent, "repeats": repeats,
            "latency_sd_s": None, **dict.fromkeys(_MEANS)}
     if means:  # only repeats that measured an element have latencies to average
         columns = list(zip(*means))
-        row.update(zip(_MEANS, map(statistics.fmean, columns)))
+        row.update(zip(_MEANS, map(mean, columns)))
         row["latency_sd_s"] = statistics.stdev(columns[0]) if len(means) > 1 else 0.0
-    return row, workload
+    return row
 
 
 def cmd_compare(args) -> int:
@@ -340,22 +323,39 @@ def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise CliError(EXIT_ARGUMENT, f"--repeats must be at least 1, got {args.repeats}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed)
+    runs = []  # (topology, workload) per preset
+    for name in args.presets:
+        config, _, topology = _load_target(name)
+        runs.append((topology, _resolve_workload(args, config)))
+    # bounded before anything is simulated; a run that generates nothing
+    # counts as one element, so many empty runs are bounded too
+    total = args.repeats * sum(max(1, estimated_elements(len(topology.sources), workload.rate, params))
+                               for topology, workload in runs)
+    if total > MAX_ELEMENTS:
+        raise CliError(EXIT_ARGUMENT, f"the comparison would simulate about {total:.3g} elements in all "
+                                      f"(at least one per run), more than the budget of {MAX_ELEMENTS}")
 
-    try:
-        rows, workloads = zip(*(_preset_summary(args, name, seed) for name in args.presets))
-    except ValueError as exc:
-        raise CliError(EXIT_ARGUMENT, str(exc)) from None
+    rows = [_preset_summary(name, topology, workload, params, args.repeats)
+            for name, (topology, workload) in zip(args.presets, runs)]
     manifest = _manifest(
         "compare", seed=seed,
         parameters={"presets": list(args.presets), "repeats": args.repeats,
                     "duration": args.duration, "warmup": args.warmup,
-                    "workloads": {name: _workload_dict(w) for name, w in zip(args.presets, workloads)}},
+                    "workloads": {name: _workload_dict(w) for name, (_, w) in zip(args.presets, runs)}},
     )
+    body = _json_body({"manifest": manifest, "presets": rows})  # refused on both paths, as in predict
     if args.json:
-        return _emit(args, _json_body({"manifest": manifest, "presets": rows}))
+        return _emit(args, body)
 
     def ms(seconds: float | None, width: int = 8, digits: int = 1) -> str:
-        return f"{'-':>{width}}" if seconds is None else f"{seconds * 1000:>{width}.{digits}f}"
+        if seconds is None:
+            return f"{'-':>{width}}"
+        value = seconds * 1000
+        if value == float("inf"):  # finite seconds beyond the float range in ms
+            from decimal import Decimal
+            value = Decimal(seconds).scaleb(3)
+        return f"{value:>{width}.{digits}f}"
 
     lines = [f"{'preset':<12}{'load %':>8}  {'total ms':>8} {'sd':>6}  "
              f"{'comm ms':>8}  {'compute ms':>10}  {'queue ms':>8}"]
@@ -445,6 +445,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"tierplan {args.command}: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # an input the library refused
+        print(f"tierplan {args.command}: {exc}", file=sys.stderr)
+        return EXIT_ARGUMENT
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """JSON Schemas for every machine-readable output.
 
 Each --json CLI payload and the topology export validate against the schema
-named after them; the test suite enforces this.  Load values can be the
-IEEE infinity the planner uses as its unbounded-load sentinel, which JSON
-emitters render as ``Infinity``.
+named after them; the test suite enforces this.  Every number is finite:
+JSON has no infinity or NaN, so the CLI refuses a result that holds one,
+such as a load that overflows, with exit 2 instead of writing it.
 """
 
 from __future__ import annotations

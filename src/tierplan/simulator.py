@@ -183,6 +183,16 @@ class SimReport:
         }
 
 
+def estimated_elements(sources: int, rate: float, params: SimParams) -> float:
+    """About how many elements a run of ``sources`` endpoints generates:
+    sources x min(max_elements, duration x rate + 1), the count
+    ``simulate`` holds to ``MAX_ELEMENTS``."""
+    per_source = params.duration * rate + 1 if rate > 0 else 0
+    if params.max_elements is not None:
+        per_source = min(per_source, params.max_elements)
+    return sources * per_source
+
+
 def _generation_times(rate: float, duration: float, max_elements: int | None) -> list[float]:
     """0.0, then every 1/rate seconds while before the duration, at most
     max_elements of them."""
@@ -329,17 +339,28 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
     return count, busy
 
 
+def mean(values: list[float]) -> float | None:
+    """``statistics.fmean`` of the values, None for none.  Where the sum of
+    the finite values overflows, ``statistics.mean``, which sums exactly,
+    so the mean stays finite."""
+    if not values:
+        return None
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        return statistics.mean(values)
+
+
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
     """Run one seeded simulation and return aggregate metrics plus every
     element's stage times.
 
-    Raises ValueError for a non-finite or negative rate, a topology without
-    workers, offloaded sources without a link, a run of more than
-    ``MAX_ELEMENTS`` elements, and the two topologies the stage recursions
-    do not cover (see the module docstring)."""
+    Raises ValueError for a workload that ``WorkloadProfile.check``
+    refuses, a topology without workers, offloaded sources without a link,
+    a run of more than ``MAX_ELEMENTS`` elements, and the two topologies the
+    stage recursions do not cover (see the module docstring)."""
+    workload.check()
     duration, warmup, rate = params.duration, params.warmup_s, workload.rate
-    if not (rate >= 0 and math.isfinite(rate)):
-        raise ValueError(f"generation rate must be finite and non-negative, got {rate!r}")
     if not topology.workers:
         raise ValueError("topology has no workers")
     workers = {device.id: device for device in topology.workers}
@@ -347,11 +368,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     sources, ranks, pre_s = _assign(topology, workload, workers)
 
     n_sources = len(sources)
-    per_source = duration * rate + 1 if rate > 0 else 0
-    if params.max_elements is not None:
-        per_source = min(per_source, params.max_elements)
-    if n_sources * per_source > MAX_ELEMENTS:
-        raise ValueError(f"the run would generate about {n_sources * per_source:.3g} elements, "
+    estimate = estimated_elements(n_sources, rate, params)
+    if estimate > MAX_ELEMENTS:
+        raise ValueError(f"the run would generate about {estimate:.3g} elements, "
                          f"more than the budget of {MAX_ELEMENTS}")
 
     g = _generation_times(rate, duration, params.max_elements) if n_sources else []
@@ -391,9 +410,6 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         capacity = device.cores * device.quota
         worker_load[worker_id] = demand / capacity * 100.0
         worker_busy[worker_id] = busy_s.get(worker_id, 0.0) / (window * device.cores)
-
-    def mean(values: list[float]) -> float | None:
-        return statistics.fmean(values) if values else None
 
     return SimReport(
         params=params,

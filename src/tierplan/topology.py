@@ -10,6 +10,7 @@ itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
@@ -64,6 +65,17 @@ class WorkloadProfile:
             return self.proc_time[tier]
         except KeyError:
             raise ValueError(f"workload has no processing time for tier {tier!r}") from None
+
+    def check(self) -> None:
+        """Raise ValueError, naming the field, unless every processing
+        time, the preprocessing time, the rate and the element size is
+        finite and non-negative.  Not run at construction, because
+        ``classify_at`` scales profiles by factors that may overflow."""
+        fields = [(f"proc_time[{tier!r}]", value) for tier, value in self.proc_time.items()]
+        fields += [("pre_time", self.pre_time), ("rate", self.rate), ("element_size", self.element_size)]
+        for name, value in fields:
+            if not 0 <= value < math.inf:
+                raise ValueError(f"workload {name} must be finite and non-negative, got {value!r}")
 
     def with_rate(self, rate: float) -> WorkloadProfile:
         return replace(self, rate=rate)

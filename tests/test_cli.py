@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -126,6 +127,12 @@ class TestPredict:
         code, out, err = run(capsys, "predict", "edge-small", "--rate", "1e308", "--size", "1e308", "--json")
         assert code == EXIT_ARGUMENT
         assert out == "" and "not finite" in err
+
+    def test_text_refuses_what_json_refuses(self, capsys):
+        # a finite rate whose load overflows to infinity
+        code, out, err = run(capsys, "predict", "edge-small", "--rate", "1e307")
+        assert (code, out) == (EXIT_ARGUMENT, "")
+        assert "not finite" in err
 
     def test_missing_target_file(self, capsys):
         code, _, _ = run(capsys, "predict", "no-such-preset")
@@ -352,6 +359,32 @@ class TestCompare:
             code, _, _ = run(capsys, "compare", "cloud", "mist", "--duration", duration)
             assert code == EXIT_ARGUMENT, duration
 
+    def test_comparison_over_the_element_budget_is_refused(self, capsys):
+        # refused before anything is simulated; at rate 0 each run counts as one element
+        for flags in (["--duration", "0.001"], ["--rate", "0"]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "compare", "cloud", "mist", "--repeats", "100000000", *flags)
+            assert time.perf_counter() - start < 1.0, flags
+            assert (code, out) == (EXIT_ARGUMENT, ""), flags
+            assert "budget" in err
+
+    def test_text_refuses_what_json_refuses(self, capsys):
+        code, out, err = run(capsys, "compare", "cloud", "mist", "--tproc", "cloud=1e307", "--tproc", "edge=1e307",
+                             "--tproc", "endpoint=1e307", "--duration", "1", "--repeats", "1")
+        assert (code, out) == (EXIT_ARGUMENT, "")
+        assert "not finite" in err
+
+    def test_latencies_beyond_the_float_range_in_ms(self, capsys):
+        # one element per endpoint, measured, each taking about 1e308 s
+        argv = ("compare", "cloud", "mist", "--duration", "1e308", "--rate", "5e-324", "--warmup", "0",
+                "--tproc", "cloud=1e308", "--repeats", "2")
+        payload = run_json(capsys, *argv, "--json")
+        assert payload["presets"][0]["latency_mean_s"] == pytest.approx(1e308)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "inf" not in out
+        assert out.splitlines()[1].split()[2].startswith("1000000000000000")
+
     def test_manifest_records_each_presets_workload(self, capsys):
         flags = ("--tproc", "edge=0.2", "--size", "1.5")
         payload = run_json(capsys, "compare", "edge-small", "mist", "--json", "--repeats", "1",
@@ -395,6 +428,15 @@ def test_topology_errors_exit_with_the_config_code(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, ""), argv
         assert "refused" in err
+
+
+def test_config_that_is_not_utf8_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "binary.conf"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    for command in ("validate", "predict", "simulate"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (EXIT_IO, ""), command
+        assert f"cannot read {path}" in err
 
 
 def test_config_without_endpoints_exits_with_the_config_code(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -269,6 +270,14 @@ class TestLatencyIdentity:
         assert report.measured == 1
         assert report.latency_mean_s is not None and report.latency_sd_s is None
 
+    def test_latencies_whose_sum_overflows_have_a_finite_mean(self):
+        # 40 measured latencies of about 1e308 s each: fmean's sum overflows
+        workload = WorkloadProfile({"cloud": 1e308}, 0.001, 5.0, 0.54)
+        report = simulate(build_topology(load_preset("cloud")), workload,
+                          SimParams(duration=1e308, warmup=0.0, max_elements=1))
+        assert report.measured == 40
+        assert report.latency_mean_s == report.compute_mean_s == pytest.approx(1e308)
+
 
 class TestParams:
     def test_duration_must_be_positive(self):
@@ -287,6 +296,14 @@ class TestParams:
         with pytest.raises(ValueError):
             simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(float("inf")),
                      SimParams(duration=1.0))
+
+    @pytest.mark.parametrize("field", ["pre_time", "element_size"])
+    def test_workload_is_checked(self, field):
+        topology = build_topology(load_preset("edge-small"))
+        for value in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match=field):
+                simulate(topology, dataclasses.replace(DEFAULT_WORKLOAD, **{field: value}),
+                         SimParams(duration=1.0))
 
     def test_topology_needs_workers(self):
         lonely = Topology(

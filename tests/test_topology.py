@@ -199,6 +199,31 @@ class TestWorkloadProfile:
         assert scaled.proc_on("edge") == pytest.approx(0.28)
         assert scaled.pre_time == DEFAULT_WORKLOAD.pre_time
 
+    @staticmethod
+    def _with(field: str, value: float) -> tuple[WorkloadProfile, str]:
+        """DEFAULT_WORKLOAD with one field, or one tier's processing time, set
+        to ``value``; and the name ``check`` gives that field."""
+        if field in DEFAULT_WORKLOAD.proc_time:
+            proc = {**DEFAULT_WORKLOAD.proc_time, field: value}
+            return dataclasses.replace(DEFAULT_WORKLOAD, proc_time=proc), f"proc_time[{field!r}]"
+        return dataclasses.replace(DEFAULT_WORKLOAD, **{field: value}), field
+
+    FIELDS = ("cloud", "edge", "endpoint", "pre_time", "rate", "element_size")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_check_refuses_and_names_the_field(self, field):
+        for value in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+            workload, name = self._with(field, value)
+            with pytest.raises(ValueError) as refused:
+                workload.check()
+            assert name in str(refused.value), value
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_check_accepts_zero_and_large_values(self, field):
+        for value in (0.0, -0.0, 1e308):
+            workload, _ = self._with(field, value)
+            assert workload.check() is None
+
 
 def test_capacity_and_demand_helpers():
     topo = build_topology(load_preset("edge-small"))
