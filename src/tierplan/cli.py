@@ -11,26 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
+import re
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .analytic import (
-    DeploymentFamily,
-    GridSpec,
-    OffloadOption,
-    REFERENCE_MARKERS,
-    Verdict,
-    classify_at,
-    family_from_topology,
-    heatmap,
-    local_viability,
-    offload_viability,
-    reference_family,
-)
 from .config import (
     ConfigError,
     DeploymentConfig,
@@ -41,8 +29,14 @@ from .config import (
     parse_config,
     render_config,
 )
-from .simulator import MAX_ELEMENTS, SimParams, estimated_elements, mean, simulate, write_trace_csv
 from .topology import DEFAULT_WORKLOAD, Topology, TopologyError, WorkloadProfile, build_topology
+
+# Each command imports the analytic model or the simulator where it runs
+# them, so heatmap never loads the simulator and simulate never loads the
+# analytic model.
+if TYPE_CHECKING:
+    from .analytic import DeploymentFamily, OffloadOption, Verdict
+    from .simulator import SimParams
 
 EXIT_OK = 0
 EXIT_ARGUMENT = 2
@@ -152,10 +146,12 @@ def _emit(args, body: str) -> int:
 
 
 def _json_body(payload: dict) -> str:
-    """The payload as JSON.  JSON has no infinity or NaN, so a result that
-    holds one is refused with exit 2 instead of written as ``Infinity``."""
+    """The payload as compact JSON, which ``json``'s C encoder writes (an
+    indent would switch it to the pure-Python one).  JSON has no infinity
+    or NaN, so a result that holds one is refused with exit 2 instead of
+    written as ``Infinity``."""
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise CliError(EXIT_ARGUMENT, "the inputs give a result that is not finite, "
                                       "which JSON cannot hold; use smaller values") from None
@@ -197,6 +193,8 @@ def _first_offload(workload: WorkloadProfile,
                    family: DeploymentFamily) -> tuple[str, OffloadOption, Verdict]:
     """The placement of the family's first offload option, the option and
     its verdict: the offload answer of ``predict`` and ``compare``."""
+    from .analytic import offload_viability
+
     placement, option = next(iter(family.options.items()))
     verdict = offload_viability(workload, family.endpoint, option.worker,
                                 option.endpoints_per_worker, option.link)
@@ -204,6 +202,8 @@ def _first_offload(workload: WorkloadProfile,
 
 
 def cmd_predict(args) -> int:
+    from .analytic import family_from_topology, local_viability
+
     config, preset, topology = _load_target(args.target)
     family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
@@ -233,6 +233,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    from .analytic import REFERENCE_MARKERS, GridSpec, classify_at, family_from_topology, heatmap, reference_family
+
     spec = GridSpec(rate_max=args.rmax, proc_max=args.tmax,
                     rate_steps=args.resolution, proc_steps=args.resolution)
     if args.target is None:
@@ -268,6 +270,8 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import SimParams, simulate, write_trace_csv
+
     config, preset, topology = _load_target(args.target)
     workload = _resolve_workload(args, config)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
@@ -300,6 +304,9 @@ def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
     """One row of the comparison: ``repeats`` runs from ``params.seed`` on.
     Only the means of each repeat are kept, so memory does not grow with
     repeats."""
+    from .analytic import family_from_topology
+    from .simulator import mean, simulate, stdev
+
     _, _, verdict = _first_offload(workload, family_from_topology(topology))
     means = []  # one tuple of _MEANS per repeat that measured an element
     for i in range(repeats):
@@ -313,11 +320,13 @@ def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
     if means:  # only repeats that measured an element have latencies to average
         columns = list(zip(*means))
         row.update(zip(_MEANS, map(mean, columns)))
-        row["latency_sd_s"] = statistics.stdev(columns[0]) if len(means) > 1 else 0.0
+        row["latency_sd_s"] = stdev(columns[0]) if len(means) > 1 else 0.0
     return row
 
 
 def cmd_compare(args) -> int:
+    from .simulator import MAX_ELEMENTS, SimParams, estimated_elements
+
     if len(args.presets) < 2:
         raise CliError(EXIT_ARGUMENT, "compare needs at least two presets")
     if args.repeats < 1:
@@ -375,8 +384,24 @@ def cmd_compare(args) -> int:
 # parser
 
 
+# a negative value in any form float() reads.  argparse's own pattern (as of
+# Python 3.11) takes only -2 and -2.5 for numbers and reads -1e-3 or -inf as
+# an option, which ends in "expected one argument" before the library's
+# range check can name the range.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every negative number as a value.
+    Its subcommand parsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tierplan",
         description="Plan where stream processing fits across cloud, edge, and endpoints.",
     )

@@ -51,14 +51,13 @@ import io
 import itertools
 import math
 import random
-import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator
 
 from .topology import Device, Link, Topology, WorkloadProfile
 
-# Largest run simulate accepts, in elements: a run peaks at about 240 bytes
+# Largest run simulate accepts, in elements: a run peaks at about 210 bytes
 # per element (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 
@@ -340,15 +339,64 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
 
 
 def mean(values: list[float]) -> float | None:
-    """``statistics.fmean`` of the values, None for none.  Where the sum of
-    the finite values overflows, ``statistics.mean``, which sums exactly,
-    so the mean stays finite."""
+    """The mean of the values as ``statistics.fmean`` computes it, None for
+    none.  Where the sum of the finite values overflows,
+    ``statistics.mean``, which sums exactly, so the mean stays finite."""
     if not values:
         return None
     try:
-        return statistics.fmean(values)
+        return math.fsum(values) / len(values)
     except OverflowError:
+        import statistics
+
         return statistics.mean(values)
+
+
+def stdev(values: list[float]) -> float:
+    """``statistics.stdev`` of two or more floats, the same float, from
+    integer sums instead of ``Fraction``s.
+
+    Every value times 2**k is an integer, with k set by the smallest
+    non-zero magnitude, so the sums are exact and the sample variance is
+    the ratio (n*sum(x*x) - sum(x)**2) / (n*(n-1)*4**k).  Its square root is
+    rounded correctly, as ``statistics.stdev`` rounds it, so the two agree
+    bit for bit.  Where a scaled value would overflow a float (or a value
+    is not finite), ``statistics.stdev`` itself."""
+    n = len(values)
+    smallest = min(filter(None, map(abs, values)), default=0.0)
+    k = max(0, 53 - math.frexp(smallest)[1])
+
+    def scaled():  # streamed twice rather than held, so memory does not grow with n
+        return map(int, map(math.ldexp, values, itertools.repeat(k)))
+
+    try:
+        total = sum(scaled())
+    except (OverflowError, ValueError):  # ValueError: int(nan)
+        import statistics
+
+        return statistics.stdev(values)
+    squares = sum(map(pow, scaled(), itertools.repeat(2)))
+    return _float_sqrt_of_frac(n * squares - total * total, n * (n - 1) << 2 * k)
+
+
+def _float_sqrt_of_frac(n: int, m: int) -> float:
+    """The square root of n/m as a float, correctly rounded: a copy of
+    ``statistics._float_sqrt_of_frac`` (Python 3.11), which rounds to odd
+    at 2 * 53 + 3 bits first."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        numerator = _integer_sqrt_of_frac_rto(n, m << 2 * q) << q
+        denominator = 1
+    else:
+        numerator = _integer_sqrt_of_frac_rto(n << -2 * q, m)
+        denominator = 1 << -q
+    return numerator / denominator
+
+
+def _integer_sqrt_of_frac_rto(n: int, m: int) -> int:
+    """The square root of n/m, rounded to an integer by round-to-odd."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
 
 
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
@@ -401,6 +449,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     pre, transfer, propagation = columns.preprocess, columns.transfer, columns.propagation
     queue_wait, service = columns.queue_wait, columns.service
     latencies = [pre[e] + transfer[e] + propagation[e] + queue_wait[e] + service[e] for e in sample]
+    latency_mean_s = mean(latencies)
+    latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
+    del latencies  # freed before the component means build their lists
     completed_in_window = sum(1 for e in done if completed[e] > warmup)
 
     worker_load: dict[str, float] = {}
@@ -416,8 +467,8 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         generated=n,
         completed=len(done),
         measured=len(sample),
-        latency_mean_s=mean(latencies),
-        latency_sd_s=statistics.stdev(latencies) if len(latencies) > 1 else None,
+        latency_mean_s=latency_mean_s,
+        latency_sd_s=latency_sd_s,
         communication_mean_s=mean([transfer[e] + propagation[e] for e in sample]),
         compute_mean_s=mean([pre[e] + service[e] for e in sample]),
         queueing_mean_s=mean([queue_wait[e] for e in sample]),

@@ -112,8 +112,11 @@ class TestPredict:
         assert "fog" in err
 
     def test_negative_rate(self, capsys):
-        code, _, err = run(capsys, "predict", "edge-small", "--rate", "-2")
-        assert code == EXIT_ARGUMENT
+        # exponent forms and -inf reach the range check as -2 does, not argparse
+        for rate in ("-2", "-2.5e1", "-inf"):
+            code, _, err = run(capsys, "predict", "edge-small", "--rate", rate)
+            assert code == EXIT_ARGUMENT, rate
+            assert "rate must be finite and non-negative" in err, rate
 
     def test_non_finite_workload_is_an_argument_error(self, capsys):
         for flags in (["--tproc", "edge=inf", "--rate", "0"], ["--tpre", "nan"],
@@ -204,20 +207,52 @@ class TestHeatmap:
             assert out == ""
 
     def test_cli_does_not_import_numpy(self):
-        """The CLI needs only the standard library; importing numpy would
-        add its import time and memory to every command."""
-        script = (
-            "import contextlib, io, sys\n"
-            "import tierplan.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = tierplan.cli.main(['heatmap', '--json', '--resolution', '3'])\n"
-            "assert code == 0, code\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-        )
+        """The CLI needs only the standard library, and each command only
+        the modules it runs; every needless import adds its time and memory
+        to the command."""
+        cases = [
+            (["heatmap", "--json", "--resolution", "3"], ["numpy", "tierplan.simulator", "statistics"]),
+            (["simulate", "cloud", "--duration", "2", "--json"], ["numpy", "tierplan.analytic", "statistics"]),
+        ]
         package_root = str(Path(tierplan.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 0, proc.stderr
+        for argv, unused in cases:
+            script = (
+                "import contextlib, io, sys\n"
+                "import tierplan.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = tierplan.cli.main({argv!r})\n"
+                "assert code == 0, code\n"
+                f"loaded = [name for name in {unused!r} if name in sys.modules]\n"
+                "assert not loaded, f'imported {loaded}'\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  timeout=60, env=env)
+            assert proc.returncode == 0, (argv, proc.stderr)
+
+    def test_package_exports_the_same_names(self):
+        """``tierplan`` resolves its names on first use; ``__all__``, ``import *``
+        and attribute access serve the names it always exported."""
+        exported = [
+            "BANDWIDTH", "BenchmarkConfig", "ConfigError", "DEFAULT_POLICY", "DEFAULT_WORKLOAD",
+            "DeploymentConfig", "DeploymentFamily", "Device", "Diagnostic", "ElementRecord", "GridSpec",
+            "HeatmapGrid", "Link", "MAX_CELLS", "MAX_ELEMENTS", "NOT_VIABLE", "OffloadOption", "PLACEMENTS",
+            "PREPROCESS_CAPACITY", "PRESET_NAMES", "PlacementPolicy", "REFERENCE_MARKERS", "SimParams",
+            "SimReport", "TIERS", "Topology", "TopologyError", "Verdict", "WORKER_CAPACITY",
+            "WorkloadProfile", "analytic", "build_topology", "capacity_of", "check_config", "classify",
+            "classify_at", "config", "demand_on_worker", "family_from_topology", "heatmap", "load_preset",
+            "local_topology", "local_viability", "offload_viability", "parse_config", "reference_family",
+            "render_config", "simulate", "simulator", "system_load", "tier_pair", "topology", "validate",
+            "worker_plan", "write_trace_csv",
+        ]
+        assert tierplan.__all__ == exported
+        namespace: dict = {}
+        exec("from tierplan import *", namespace)
+        assert sorted(name for name in namespace if name != "__builtins__") == exported
+        assert namespace["simulate"] is simulator.simulate
+        assert namespace["simulator"] is simulator
+        with pytest.raises(AttributeError):
+            tierplan.no_such_name
 
     def test_out_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
@@ -247,9 +282,10 @@ class TestSimulate:
         assert a == b
 
     def test_duration_must_be_positive(self, capsys):
-        for duration in ("-1", "0", "nan", "inf"):
-            code, _, _ = run(capsys, "simulate", "edge-small", "--duration", duration)
+        for duration in ("-1", "0", "nan", "inf", "-1e-3", "-inf"):
+            code, _, err = run(capsys, "simulate", "edge-small", "--duration", duration)
             assert code == EXIT_ARGUMENT, duration
+            assert "duration must be positive and finite" in err, duration
 
     def test_warmup_must_precede_the_end(self, capsys):
         for warmup in ("5", "-1", "nan"):
@@ -333,14 +369,16 @@ class TestCompare:
         assert out.splitlines()[1].split()[2:] == ["-"] * 5
 
     def test_only_measured_repeats_are_averaged(self, capsys, monkeypatch):
+        simulate = simulator.simulate
+
         def second_repeat_measures_nothing(topology, workload, params):
-            report = simulator.simulate(topology, workload, params)
+            report = simulate(topology, workload, params)
             if params.seed == 43:
                 report = dataclasses.replace(report, measured=0, **dict.fromkeys(LATENCY_FIELDS))
             return report
 
         first = run_json(capsys, "compare", "cloud", "mist", "--json", "--repeats", "1", "--duration", "4")
-        monkeypatch.setattr(cli, "simulate", second_repeat_measures_nothing)
+        monkeypatch.setattr(simulator, "simulate", second_repeat_measures_nothing)
         both = run_json(capsys, "compare", "cloud", "mist", "--json", "--repeats", "2", "--duration", "4")
         assert both["presets"] == [dict(row, repeats=2) for row in first["presets"]]
 
@@ -355,9 +393,10 @@ class TestCompare:
         assert "fog" in err
 
     def test_duration_must_be_positive_and_finite(self, capsys):
-        for duration in ("0", "nan", "inf"):
-            code, _, _ = run(capsys, "compare", "cloud", "mist", "--duration", duration)
+        for duration in ("0", "nan", "inf", "-1e-3", "-inf"):
+            code, _, err = run(capsys, "compare", "cloud", "mist", "--duration", duration)
             assert code == EXIT_ARGUMENT, duration
+            assert "duration must be positive and finite" in err, duration
 
     def test_comparison_over_the_element_budget_is_refused(self, capsys):
         # refused before anything is simulated; at rate 0 each run counts as one element
