@@ -26,11 +26,10 @@ _EXPORTS = {
         "build_topology", "capacity_of", "demand_on_worker", "local_topology",
     ),
     "analytic": (
-        "BANDWIDTH", "DEFAULT_POLICY", "DeploymentFamily", "GridSpec", "HeatmapGrid", "MAX_CELLS",
-        "NOT_VIABLE", "OffloadOption", "PLACEMENTS", "PREPROCESS_CAPACITY", "PlacementPolicy",
-        "REFERENCE_MARKERS", "Verdict", "WORKER_CAPACITY", "classify", "classify_at",
-        "family_from_topology", "heatmap", "local_viability", "offload_viability", "reference_family",
-        "system_load",
+        "BANDWIDTH", "DeploymentFamily", "GridSpec", "HeatmapGrid", "MAX_CELLS", "NOT_VIABLE",
+        "OffloadOption", "PLACEMENTS", "PREPROCESS_CAPACITY", "REFERENCE_MARKERS", "Verdict",
+        "WORKER_CAPACITY", "classify", "classify_at", "family_from_topology", "heatmap",
+        "local_viability", "offload_viability", "reference_family", "system_load",
     ),
     "simulator": ("MAX_ELEMENTS", "ElementRecord", "SimParams", "SimReport", "simulate", "write_trace_csv"),
 }

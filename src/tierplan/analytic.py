@@ -28,6 +28,7 @@ WORKER_CAPACITY = "worker-capacity"
 PREPROCESS_CAPACITY = "preprocess-capacity"
 BANDWIDTH = "bandwidth"
 
+# every placement, closest to the data first: the order classify prefers them in
 PLACEMENTS = ("endpoint", "edge", "cloud")
 NOT_VIABLE = "not-viable"
 
@@ -132,21 +133,6 @@ def offload_viability(
 
 
 @dataclass(frozen=True)
-class PlacementPolicy:
-    """Preference order over the three placements.  The default prefers the
-    viable placement closest to the data."""
-
-    order: tuple[str, ...] = PLACEMENTS
-
-    def __post_init__(self) -> None:
-        if sorted(self.order) != sorted(PLACEMENTS):
-            raise ValueError(f"policy order must rank exactly {PLACEMENTS}, got {self.order!r}")
-
-
-DEFAULT_POLICY = PlacementPolicy()
-
-
-@dataclass(frozen=True)
 class OffloadOption:
     worker: Device
     endpoints_per_worker: int
@@ -167,14 +153,13 @@ class DeploymentFamily:
     options: dict[str, OffloadOption] = field(default_factory=dict)
 
 
-def classify(workload: WorkloadProfile, family: DeploymentFamily,
-             policy: PlacementPolicy = DEFAULT_POLICY) -> str:
-    """First viable placement in policy order, or "not-viable".
+def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:
+    """First viable placement in ``PLACEMENTS`` order, or "not-viable".
 
     Placements the family defines no spec for are skipped, so restricted
     families (a single deployment, say) classify within their own options.
     """
-    for placement in policy.order:
+    for placement in PLACEMENTS:
         option = family.options.get(placement)
         if option is not None:
             verdict = offload_viability(
@@ -251,13 +236,12 @@ def _anchor(workload: WorkloadProfile) -> float:
     return anchor
 
 
-def classify_at(workload: WorkloadProfile, family: DeploymentFamily, rate: float, proc: float,
-                policy: PlacementPolicy = DEFAULT_POLICY) -> str:
+def classify_at(workload: WorkloadProfile, family: DeploymentFamily, rate: float, proc: float) -> str:
     """Classify one (rate, processing-time) point.  ``proc`` is the
     endpoint-tier seconds per element; every other tier's processing time is
     scaled by the same factor relative to ``workload``."""
     scaled = workload.scale_proc(proc / _anchor(workload)).with_rate(rate)
-    return classify(scaled, family, policy)
+    return classify(scaled, family)
 
 
 @dataclass(frozen=True)
@@ -296,8 +280,7 @@ def _linspace(stop: float, num: int) -> tuple[float, ...]:
     return (*head, stop)
 
 
-def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily,
-            policy: PlacementPolicy = DEFAULT_POLICY) -> HeatmapGrid:
+def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily) -> HeatmapGrid:
     """Classify every point of the sampling grid.
 
     Every cell gets the class ``classify_at`` gives it: the grid evaluates the
@@ -315,9 +298,9 @@ def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily,
     pre_capacity = capacity_of(endpoint)
     pre_fits = [workload.pre_time * rate <= pre_capacity for rate in rates]
     # (label, unscaled seconds per element, endpoints per worker, capacity,
-    # per-column result of the rate-only conditions), in policy order
+    # per-column result of the rate-only conditions), in PLACEMENTS order
     placements = []
-    for placement in policy.order:
+    for placement in PLACEMENTS:
         option = family.options.get(placement)
         if option is not None:
             throughput = option.link.throughput_mbit

@@ -116,15 +116,6 @@ class DeploymentConfig:
     thread_pinning: bool | None = None
     machine_address: tuple[str, ...] | None = None
 
-    def devices(self, tier: str) -> int:
-        return self.devices_per_tier[_TIER_RANK[tier]]
-
-    def cores(self, tier: str) -> int:
-        return self.cores_per_device[_TIER_RANK[tier]]
-
-    def quota(self, tier: str) -> float:
-        return self.quota_per_cpu[_TIER_RANK[tier]]
-
 
 # ---------------------------------------------------------------------------
 # the key table
@@ -149,11 +140,20 @@ def _finite(token: str) -> float:
     return value
 
 
-# Value types: (parser raising ValueError, what a value must be).
-_INTEGER = (int, "an integer")
-_NUMBER = (_finite, "a finite number")
-_BOOLEAN = (_boolean, "True or False")
-_TEXT = (str, "text")
+# Value types: (parser raising ValueError, what a value must be, the Python
+# types a value of a config may have).
+_INTEGER = (int, "an integer", int)
+_NUMBER = (_finite, "a finite number", (int, float))
+_BOOLEAN = (_boolean, "True or False", bool)
+_TEXT = (str, "text", str)
+
+
+def _is_a(value, kind: tuple) -> bool:
+    """Whether ``value`` has a Python type of the value type ``kind``.  A
+    bool is not an integer or a number: it renders as text no number
+    parser reads."""
+    return isinstance(value, kind[2]) and (kind is _BOOLEAN or not isinstance(value, bool))
+
 
 _TIER_PAIRS = object()  # the table row of every ``<tier>_to_<tier>`` key
 
@@ -185,7 +185,12 @@ _REQUIRED = tuple(f.name for f in fields(DeploymentConfig)
 
 @dataclass(frozen=True)
 class WorkerPlan:
-    """How a config maps onto compute roles, before devices are materialized."""
+    """How a config maps onto compute roles, before devices are materialized.
+
+    The counts give every device its role: in cloud, edge, endpoint order
+    the devices are ``controllers`` controllers, then ``workers`` workers,
+    then ``sources`` sources.
+    """
 
     worker_tier: str
     workers: int
@@ -255,8 +260,8 @@ def _unwritable_text(key: str, arity: str, value) -> str | None:
     if listed and not entries:
         return f"{key} must list at least one entry"
     for entry in entries:
-        if not isinstance(entry, str):
-            return f"{key} must be text, got {entry!r}"
+        if not _is_a(entry, _TEXT):
+            return f"{key} must be {_TEXT[1]}, got {entry!r}"
         if listed and (not entry or "," in entry):
             return f"{key} entries must be non-empty and contain no comma, got {entry!r}"
         if entry != entry.strip() or len(entry.splitlines()) > 1:
@@ -281,15 +286,36 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
             error(name, f"{name} must have one entry per tier (cloud,edge,endpoint)")
             return diags
 
+    # A number or boolean of another type would make the checks below raise
+    # or write a value the parser refuses: report each in the words of the
+    # key table, and stop.  Counts and text are checked below.
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        for key, (arity, kind) in table.items():
+            if kind is not _NUMBER and kind is not _BOOLEAN:
+                continue
+            if arity is _PAIR:
+                named = [(pair_key(pair), v) for pair, values in config.latency.items() for v in values]
+                named += [(pair_key(pair), v) for pair, v in config.throughput.items()]
+            elif (value := getattr(record, key)) is None:
+                continue
+            else:
+                named = [(key, v) for v in ((value,) if arity is _ONE else value)]
+            for name, v in named:
+                if not _is_a(v, kind):
+                    error(name, f"{name} must be {kind[1]}, got {v!r}")
+    if diags:
+        return diags
+
     total = 0
     for i, tier in enumerate(TIERS):
         count = config.devices_per_tier[i]
-        if not isinstance(count, int) or count < 0:
+        if not _is_a(count, _INTEGER) or count < 0:
             error("devices_per_tier", f"device count for {tier} must be a non-negative integer, got {count!r}")
             continue
         total += count
         cores = config.cores_per_device[i]
-        if not isinstance(cores, int) or cores < 0:
+        if not _is_a(cores, _INTEGER) or cores < 0:
             error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {cores!r}")
             continue
         quota = config.quota_per_cpu[i]
@@ -313,10 +339,11 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
         error("data_generation_frequency", f"data_generation_frequency must be finite and non-negative, got {freq!r}")
 
     plan: WorkerPlan | None = None
-    try:
-        plan = worker_plan(config)
-    except PlanError as exc:
-        error("devices_per_tier", str(exc))
+    if all(_is_a(count, _NUMBER) for count in config.devices_per_tier):  # else reported above
+        try:
+            plan = worker_plan(config)
+        except PlanError as exc:
+            error("devices_per_tier", str(exc))
 
     if plan is not None:
         link_name = pair_key(plan.link)
@@ -399,7 +426,7 @@ def _parse_structure(text: str) -> tuple[DeploymentConfig | None, list[Diagnosti
 
     def parse(kind: tuple, tokens: list[str], key: str, where: str) -> list | None:
         """Every token parsed, or None after one error per bad token."""
-        parser, wording = kind
+        parser, wording, _ = kind
         parsed = []
         for token in tokens:
             try:

@@ -1,9 +1,9 @@
 """JSON Schemas for every machine-readable output.
 
-Each --json CLI payload and the topology export validate against the schema
-named after them; the test suite enforces this.  Every number is finite:
-JSON has no infinity or NaN, so the CLI refuses a result that holds one,
-such as a load that overflows, with exit 2 instead of writing it.
+Each --json CLI payload validates against the schema named after it; the
+test suite enforces this.  Every number is finite: JSON has no infinity or
+NaN, so the CLI refuses a result that holds one, such as a load that
+overflows, with exit 2 instead of writing it.
 """
 
 from __future__ import annotations
@@ -125,22 +125,4 @@ COMPARE_OUTPUT_SCHEMA = _record({
         "repeats": _INTEGER,
         **_LATENCIES,
     })),
-})
-
-TOPOLOGY_SCHEMA = _record({
-    "devices": _array(_record({
-        "id": _STRING,
-        "tier": {"type": "string", "enum": ["cloud", "edge", "endpoint"]},
-        "cores": _INTEGER,
-        "quota": _NUMBER,
-        "role": {"type": "string", "enum": ["worker", "controller", "source"]},
-    })),
-    "links": _array(_record({
-        "tiers": {"type": "array", "items": _STRING, "minItems": 2, "maxItems": 2},
-        "latency_avg_ms": _NUMBER,
-        "latency_sd_ms": _NUMBER,
-        "throughput_mbit": _NUMBER,
-    })),
-    "assignment": _mapping(_array(_STRING)),
-    "endpoints_per_worker": _INTEGER,
 })

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator
 
-from .topology import Device, Link, Topology, WorkloadProfile
+from .topology import Device, Link, Topology, WorkloadProfile, capacity_of
 
 # Largest run simulate accepts, in elements: a run peaks at about 210 bytes
 # per element (see README, "Simulator model").
@@ -65,7 +65,7 @@ MAX_ELEMENTS = 2_000_000
 @dataclass(frozen=True)
 class SimParams:
     duration: float                  # simulated seconds
-    warmup: float | None = None      # seconds excluded from metrics; default 10% of duration
+    warmup: float | None = None      # metrics exclude [0, warmup); default 10% of duration
     seed: int = 0
     max_elements: int | None = None  # per-endpoint cap on generated elements
 
@@ -139,7 +139,7 @@ class SimReport:
     params: SimParams
     generated: int
     completed: int
-    measured: int                 # completed elements generated after warmup
+    measured: int                 # completed elements generated at or after warmup
     # the four means are None when no element was measured, the sd when
     # fewer than two were
     latency_mean_s: float | None
@@ -149,9 +149,9 @@ class SimReport:
     queueing_mean_s: float | None
     worker_load_percent: dict[str, float]
     worker_busy_fraction: dict[str, float]
-    throughput_eps: float         # elements completed per second, post warmup
+    throughput_eps: float         # elements completed per second from warmup on
     backlog: int                  # generated but not completed at the end
-    backlog_at_warmup: int
+    backlog_at_warmup: int        # generated before warmup, not completed before it
     phase_counts: dict[str, int]
     columns: _Columns = field(repr=False, compare=False)
 
@@ -301,14 +301,14 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
            duration: float, warmup: float) -> tuple[int, float]:
     """Pass one worker's arrivals, in ``order``, through its cores; record
     each element's wait, service, completion and phase.  Returns the number
-    of arrivals after warmup and the core-seconds spent after warmup."""
+    of arrivals from warmup on and the core-seconds spent after warmup."""
     phase, queue_wait, service, completed = columns.phase, columns.queue_wait, columns.service, columns.completed
     starts: list[float] = []
     in_service: list[float] = []
     count, busy = 0, 0.0
     for i, e in enumerate(order):
         a = arrival[e]
-        if a > warmup:
+        if a >= warmup:
             count += 1
         start = a
         if i >= cores:
@@ -445,21 +445,21 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     window = duration - warmup
     completed = columns.completed
     done = [e for e, end in enumerate(completed) if end is not None]
-    sample = done[bisect.bisect_left(done, bisect.bisect_left(g, warmup) * n_sources):]
+    warming = bisect.bisect_left(g, warmup) * n_sources  # elements generated before warmup
+    sample = done[bisect.bisect_left(done, warming):]
     pre, transfer, propagation = columns.preprocess, columns.transfer, columns.propagation
     queue_wait, service = columns.queue_wait, columns.service
     latencies = [pre[e] + transfer[e] + propagation[e] + queue_wait[e] + service[e] for e in sample]
     latency_mean_s = mean(latencies)
     latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
     del latencies  # freed before the component means build their lists
-    completed_in_window = sum(1 for e in done if completed[e] > warmup)
+    completed_in_window = sum(1 for e in done if completed[e] >= warmup)
 
     worker_load: dict[str, float] = {}
     worker_busy: dict[str, float] = {}
     for worker_id, device in sorted(workers.items()):
         demand = arrivals.get(worker_id, 0) * workload.proc_on(device.tier) / window
-        capacity = device.cores * device.quota
-        worker_load[worker_id] = demand / capacity * 100.0
+        worker_load[worker_id] = demand / capacity_of(device) * 100.0
         worker_busy[worker_id] = busy_s.get(worker_id, 0.0) / (window * device.cores)
 
     return SimReport(
@@ -476,7 +476,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,
         backlog=n - len(done),
-        backlog_at_warmup=bisect.bisect_right(g, warmup) * n_sources - (len(done) - completed_in_window),
+        backlog_at_warmup=warming - (len(done) - completed_in_window),
         phase_counts={p: columns.phase.count(p) for p in PHASES},
         columns=columns,
     )

@@ -10,12 +10,13 @@ itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
-from .config import DeploymentConfig, TierPair, validate, worker_plan
+from .config import TIERS, DeploymentConfig, TierPair, validate, worker_plan
 
 
 class TopologyError(ValueError):
@@ -136,25 +137,6 @@ class Topology:
         """The link offloaded elements cross; None for local-only topologies."""
         return self.links[0] if self.links else None
 
-    def to_dict(self) -> dict:
-        return {
-            "devices": [
-                {"id": d.id, "tier": d.tier, "cores": d.cores, "quota": d.quota, "role": d.role}
-                for d in self.devices
-            ],
-            "links": [
-                {
-                    "tiers": list(link.tiers),
-                    "latency_avg_ms": link.latency_avg_ms,
-                    "latency_sd_ms": link.latency_sd_ms,
-                    "throughput_mbit": link.throughput_mbit,
-                }
-                for link in self.links
-            ],
-            "assignment": {worker: list(ids) for worker, ids in self.assignment.items()},
-            "endpoints_per_worker": self.endpoints_per_worker,
-        }
-
 
 def build_topology(config: DeploymentConfig) -> Topology:
     """Materialize a config.  Deterministic: same config, same ids, same
@@ -165,39 +147,23 @@ def build_topology(config: DeploymentConfig) -> Topology:
         raise TopologyError("; ".join(errors))
     plan = worker_plan(config)
 
+    # in cloud, edge, endpoint order the devices are the plan's controllers,
+    # then its workers, then its sources
+    roles = itertools.chain(itertools.repeat("controller", plan.controllers),
+                            itertools.repeat("worker", plan.workers),
+                            itertools.repeat("source", plan.sources))
     devices: list[Device] = []
-    worker_ids: list[str] = []
-    source_ids: list[str] = []
-    for tier in ("cloud", "edge", "endpoint"):
-        count = config.devices(tier)
-        cores, quota = config.cores(tier), config.quota(tier)
-        for i in range(count):
-            device_id = f"{tier}-{i}"
-            if tier == plan.worker_tier:
-                if plan.worker_tier == "cloud" and plan.controllers and i == 0:
-                    role = "controller"
-                elif plan.worker_tier == "endpoint":
-                    role = "worker" if i < plan.workers else "source"
-                else:
-                    role = "worker"
-            elif tier == "endpoint":
-                role = "source"
-            else:
-                role = "controller"
-            devices.append(Device(device_id, tier, cores, quota, role))
-            if role == "worker":
-                worker_ids.append(device_id)
-            elif role == "source":
-                source_ids.append(device_id)
-
-    assignment: dict[str, list[str]] = {wid: [] for wid in worker_ids}
-    for j, source_id in enumerate(source_ids):
-        assignment[worker_ids[j % len(worker_ids)]].append(source_id)
+    for tier, count, cores, quota in zip(TIERS, config.devices_per_tier, config.cores_per_device,
+                                         config.quota_per_cpu):
+        devices += (Device(f"{tier}-{i}", tier, cores, quota, role) for i, role in zip(range(count), roles))
+    workers = devices[plan.controllers:plan.controllers + plan.workers]
+    sources = devices[plan.controllers + plan.workers:]
 
     return Topology(
         devices=tuple(devices),
         links=(Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),),
-        assignment={wid: tuple(ids) for wid, ids in assignment.items()},
+        # round robin: source j goes to worker j mod the worker count
+        assignment={w.id: tuple(s.id for s in sources[j::plan.workers]) for j, w in enumerate(workers)},
         endpoints_per_worker=plan.endpoints_per_worker,
     )
 

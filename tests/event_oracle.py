@@ -3,7 +3,8 @@ kept as the oracle of the differential test in ``test_engine_oracle.py``.
 
 Events are ordered by (time, insertion sequence).  Every float operation is
 the one the old engine performed, so the stage-wise engine must reproduce
-the oracle bit for bit.  ``simulate_events`` returns the report dict that
+the oracle bit for bit.  Like the engine, the oracle counts a time equal to
+the warmup as after it: metrics exclude ``[0, warmup)``.  ``simulate_events`` returns the report dict that
 ``SimReport.to_dict()`` produces, plus one dict per element under
 ``"trace"``, keyed by the trace CSV's columns.
 """
@@ -100,7 +101,7 @@ def simulate_events(topology, workload, params) -> dict:
                 return value
 
     def arrive(rec, worker, now):
-        if now > warmup:
+        if now >= warmup:
             worker.arrivals += 1
         rec.stage_start = now
         if worker.free > 0:
@@ -209,10 +210,10 @@ def simulate_events(topology, workload, params) -> dict:
         "worker_busy_fraction": {
             wid: w.busy_s / (window * w.device.cores) for wid, w in sorted(workers.items())
         },
-        "throughput_eps": sum(1 for rec in done if rec.completed > warmup) / window,
+        "throughput_eps": sum(1 for rec in done if rec.completed >= warmup) / window,
         "backlog": len(records) - len(done),
-        "backlog_at_warmup": sum(1 for rec in records if rec.generated <= warmup)
-        - sum(1 for rec in done if rec.completed <= warmup),
+        "backlog_at_warmup": sum(1 for rec in records if rec.generated < warmup)
+        - sum(1 for rec in done if rec.completed < warmup),
         "phase_counts": {phase: sum(1 for rec in records if rec.phase == phase) for phase in PHASES},
         "trace": [rec.to_dict() for rec in records],
     }

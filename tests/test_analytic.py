@@ -14,14 +14,13 @@ import pytest
 
 from tierplan.analytic import (
     BANDWIDTH,
-    DEFAULT_POLICY,
     DeploymentFamily,
     GridSpec,
     MAX_CELLS,
     NOT_VIABLE,
     OffloadOption,
+    PLACEMENTS,
     PREPROCESS_CAPACITY,
-    PlacementPolicy,
     REFERENCE_MARKERS,
     WORKER_CAPACITY,
     classify,
@@ -173,14 +172,9 @@ def test_verdict_to_dict_shape():
 
 
 class TestClassify:
-    def test_policy_must_cover_all_placements(self):
-        with pytest.raises(ValueError):
-            PlacementPolicy(order=("edge", "cloud"))
-        with pytest.raises(ValueError):
-            PlacementPolicy(order=("edge", "edge", "cloud"))
-
     def test_default_policy_prefers_closest(self):
-        assert DEFAULT_POLICY.order == ("endpoint", "edge", "cloud")
+        # the one placement order: closest to the data first
+        assert PLACEMENTS == ("endpoint", "edge", "cloud")
 
     def test_default_workload_lands_on_edge(self):
         family = reference_family()
@@ -193,11 +187,6 @@ class TestClassify:
     def test_heavy_workload_is_not_viable(self):
         family = reference_family()
         assert classify(DEFAULT_WORKLOAD.scale_proc(100.0), family) == NOT_VIABLE
-
-    def test_policy_order_changes_the_pick(self):
-        family = reference_family()
-        cloud_first = PlacementPolicy(order=("cloud", "edge", "endpoint"))
-        assert classify(DEFAULT_WORKLOAD, family, cloud_first) == "cloud"
 
     def test_missing_placements_are_skipped(self):
         family = DeploymentFamily(

@@ -234,10 +234,10 @@ class TestHeatmap:
         """``tierplan`` resolves its names on first use; ``__all__``, ``import *``
         and attribute access serve the names it always exported."""
         exported = [
-            "BANDWIDTH", "BenchmarkConfig", "ConfigError", "DEFAULT_POLICY", "DEFAULT_WORKLOAD",
+            "BANDWIDTH", "BenchmarkConfig", "ConfigError", "DEFAULT_WORKLOAD",
             "DeploymentConfig", "DeploymentFamily", "Device", "Diagnostic", "ElementRecord", "GridSpec",
             "HeatmapGrid", "Link", "MAX_CELLS", "MAX_ELEMENTS", "NOT_VIABLE", "OffloadOption", "PLACEMENTS",
-            "PREPROCESS_CAPACITY", "PRESET_NAMES", "PlacementPolicy", "REFERENCE_MARKERS", "SimParams",
+            "PREPROCESS_CAPACITY", "PRESET_NAMES", "REFERENCE_MARKERS", "SimParams",
             "SimReport", "TIERS", "Topology", "TopologyError", "Verdict", "WORKER_CAPACITY",
             "WorkloadProfile", "analytic", "build_topology", "capacity_of", "check_config", "classify",
             "classify_at", "config", "demand_on_worker", "family_from_topology", "heatmap", "load_preset",

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from tierplan.config import (
+    BenchmarkConfig,
     ConfigError,
     PRESET_NAMES,
     check_config,
@@ -209,13 +210,14 @@ class TestValidate:
 
 
 class TestTextValues:
-    """Text ``render_config`` could not write back is an error; its accepted
-    neighbours roundtrip."""
+    """Text ``render_config`` could not write back is an error, and so is a
+    value of the wrong type; the accepted neighbours of such text roundtrip."""
 
     BASE = load_preset("edge-small")
+    LINK = ("edge", "endpoint")
 
     def with_text(self, **changes):
-        benchmark = {key: changes.pop(key) for key in ("application", "resource_manager") if key in changes}
+        benchmark = {f.name: changes.pop(f.name) for f in dataclasses.fields(BenchmarkConfig) if f.name in changes}
         return dataclasses.replace(self.BASE, benchmark=dataclasses.replace(self.BASE.benchmark, **benchmark),
                                    **changes)
 
@@ -229,6 +231,23 @@ class TestTextValues:
     def test_unwritable_text_is_an_error(self, changes):
         (key,) = changes
         assert [d.key for d in errors_of(validate(self.with_text(**changes)))] == [key]
+
+    @pytest.mark.parametrize("changes, key, message", [
+        ({"quota_per_cpu": (1.0, "x", 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got 'x'"),
+        ({"quota_per_cpu": (1.0, True, 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got True"),
+        ({"latency": {LINK: ("45", 5.0)}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '45'"),
+        ({"throughput": {LINK: "8"}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '8'"),
+        ({"data_generation_frequency": "5"}, "data_generation_frequency",
+         "data_generation_frequency must be a finite number, got '5'"),
+        ({"thread_pinning": "yes"}, "thread_pinning", "thread_pinning must be True or False, got 'yes'"),
+        ({"use_benchmark": 1}, "use_benchmark", "use_benchmark must be True or False, got 1"),
+        ({"devices_per_tier": (True, 10, 20)}, "devices_per_tier",
+         "device count for cloud must be a non-negative integer, got True"),
+        ({"devices_per_tier": (1, "10", 20)}, "devices_per_tier",
+         "device count for edge must be a non-negative integer, got '10'"),
+    ])
+    def test_a_value_of_the_wrong_type_is_an_error(self, changes, key, message):
+        assert [(d.key, d.message) for d in errors_of(validate(self.with_text(**changes)))] == [(key, message)]
 
     @pytest.mark.parametrize("changes", [
         {"application": "x"}, {"application": "a b"}, {"application": ""}, {"application": "a=b # c"},

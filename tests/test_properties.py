@@ -4,18 +4,16 @@ and the heatmap grid agreeing with the scalar classifier cell by cell."""
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tierplan.analytic import (
-    PLACEMENTS,
     DeploymentFamily,
     GridSpec,
     OffloadOption,
-    PlacementPolicy,
     _linspace,
     classify_at,
     family_from_topology,
@@ -36,6 +34,8 @@ from tierplan.config import (
 )
 from tierplan.simulator import SimParams, simulate
 from tierplan.topology import Device, Link, WorkloadProfile, build_topology, local_topology
+
+from topology_oracle import build_topology as oracle_build_topology
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -153,7 +153,8 @@ class TestSystemLoadLinearity:
 # configs assembled directly; numbers chosen so validation always passes
 @st.composite
 def valid_configs(draw):
-    worker_tier = draw(st.sampled_from(["edge", "cloud", "endpoint"]))
+    shape = draw(st.sampled_from(["edge", "cloud", "cloud+controller", "endpoint"]))
+    worker_tier = shape.partition("+")[0]
     workers = draw(st.integers(min_value=1, max_value=8))
     per_worker = draw(st.integers(min_value=1, max_value=6))
     endpoints = workers * per_worker
@@ -168,6 +169,13 @@ def valid_configs(draw):
         devices = (controllers, workers, endpoints)
         tier_cores = (worker_cores if controllers else 0, worker_cores, endpoint_cores)
         tier_quota = (worker_quota if controllers else 0.0, worker_quota, endpoint_quota)
+    elif shape == "cloud+controller":
+        # the cloud preset's shape: the endpoints spread evenly over the
+        # workers but not over every cloud device, so one is a controller
+        assume(endpoints % (workers + 1))
+        devices = (workers + 1, 0, endpoints)
+        tier_cores = (worker_cores, 0, endpoint_cores)
+        tier_quota = (worker_quota, 0.0, endpoint_quota)
     elif worker_tier == "cloud":
         devices = (workers, 0, endpoints)
         tier_cores = (worker_cores, 0, endpoint_cores)
@@ -211,6 +219,25 @@ class TestConfigRoundtrip:
     def test_render_is_idempotent(self, config):
         once = render_config(config)
         assert render_config(parse_config(once)) == once
+
+
+class TestTopologyMatchesOracle:
+    """``build_topology``, which takes every role from the worker plan's
+    counts, builds the topologies of its per-tier predecessor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_configs())
+    def test_valid_configs(self, config):
+        assert build_topology(config) == oracle_build_topology(config)
+
+    @pytest.mark.parametrize("name", ["cloud", "edge-large", "edge-small", "mist"])
+    def test_presets(self, name):
+        config = load_preset(name)
+        assert build_topology(config) == oracle_build_topology(config)
+
+    def test_edge_large_at_8000_endpoints(self):
+        config = dataclasses.replace(load_preset("edge-large"), devices_per_tier=(1, 2000, 8000))
+        assert build_topology(config) == oracle_build_topology(config)
 
 
 PRESET_TOPOLOGIES = {name: build_topology(load_preset(name))
@@ -283,7 +310,6 @@ grid_workloads = st.builds(
     ),
     magnitudes, nonnegative, nonnegative, nonnegative, nonnegative,
 )
-policies = st.sampled_from([PlacementPolicy(order) for order in itertools.permutations(PLACEMENTS)])
 GRID_FAMILIES = {
     "reference": reference_family(),
     "local-only": family_from_topology(local_topology(4)),
@@ -320,27 +346,27 @@ def tied_cases(draw):
     return spec, workload, family
 
 
-def assert_grid_matches_scalar_path(spec, workload, family, policy):
-    grid = heatmap(spec, workload, family, policy)
+def assert_grid_matches_scalar_path(spec, workload, family):
+    grid = heatmap(spec, workload, family)
     assert grid.rates == _linspace(spec.rate_max, spec.rate_steps)
     assert grid.proc_times == _linspace(spec.proc_max, spec.proc_steps)
     for i, proc in enumerate(grid.proc_times):
         for j, rate in enumerate(grid.rates):
-            assert grid.cells[i][j] == classify_at(workload, family, rate, proc, policy), (i, j)
+            assert grid.cells[i][j] == classify_at(workload, family, rate, proc), (i, j)
 
 
 class TestHeatmapMatchesScalarPath:
     """Every grid cell gets exactly the class ``classify_at`` gives it."""
 
     @settings(max_examples=300, deadline=None)
-    @given(grid_specs, grid_workloads, st.sampled_from(sorted(GRID_FAMILIES)), policies)
-    def test_preset_families(self, spec, workload, family_name, policy):
-        assert_grid_matches_scalar_path(spec, workload, GRID_FAMILIES[family_name], policy)
+    @given(grid_specs, grid_workloads, st.sampled_from(sorted(GRID_FAMILIES)))
+    def test_preset_families(self, spec, workload, family_name):
+        assert_grid_matches_scalar_path(spec, workload, GRID_FAMILIES[family_name])
 
     @settings(max_examples=300, deadline=None)
-    @given(tied_cases(), policies)
-    def test_loads_of_exactly_100_percent(self, case, policy):
-        assert_grid_matches_scalar_path(*case, policy)
+    @given(tied_cases())
+    def test_loads_of_exactly_100_percent(self, case):
+        assert_grid_matches_scalar_path(*case)
 
     @settings(max_examples=200, deadline=None)
     @given(positive, st.integers(min_value=2, max_value=300))

@@ -335,6 +335,22 @@ class TestParams:
         assert SimParams(duration=40.0).warmup_s == 4.0
         assert SimParams(duration=40.0, warmup=1.0).warmup_s == 1.0
 
+    def test_without_warmup_nothing_is_left_over_from_it(self):
+        report = simulate(build_topology(load_preset("edge-small")), DEFAULT_WORKLOAD,
+                          SimParams(duration=2.0, warmup=0.0, seed=1))
+        assert report.backlog_at_warmup == 0
+
+    def test_elements_generated_at_the_warmup_instant_count_after_it(self):
+        # two endpoints generate at 0, 1, 2, 3 and 4 s and finish each
+        # element 0.1 s later; the warmup lands on the instant 2 s
+        workload = WorkloadProfile({"endpoint": 0.1}, 0.0, 1.0, 0.0)
+        report = simulate(local_topology(2, quota=1.0), workload, SimParams(duration=5.0, warmup=2.0))
+        assert report.measured == 6
+        assert report.backlog_at_warmup == 0
+        assert report.throughput_eps == 6 / 3.0
+        # three arrivals of 0.1 core-s each over the 3 s after warmup
+        assert report.worker_load_percent == pytest.approx({"endpoint-0": 10.0, "endpoint-1": 10.0})
+
     def test_rate_must_be_finite(self):
         with pytest.raises(ValueError):
             simulate(local_topology(1), DEFAULT_WORKLOAD.with_rate(float("inf")),

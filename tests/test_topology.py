@@ -10,7 +10,6 @@ import jsonschema
 import pytest
 
 from tierplan.config import MAX_DEVICES, load_preset, parse_config, validate
-from tierplan.schemas import TOPOLOGY_SCHEMA
 from tierplan.topology import (
     DEFAULT_WORKLOAD,
     TopologyError,
@@ -159,12 +158,6 @@ def test_local_topology_is_self_assigned():
 
 def test_build_is_deterministic():
     assert build_topology(load_preset("cloud")) == build_topology(load_preset("cloud"))
-
-
-def test_to_dict_matches_schema():
-    for name in ("cloud", "edge-large", "edge-small", "mist"):
-        payload = build_topology(load_preset(name)).to_dict()
-        jsonschema.validate(payload, TOPOLOGY_SCHEMA)
 
 
 def test_device_lookup():
