@@ -320,7 +320,8 @@ def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
     if means:  # only repeats that measured an element have latencies to average
         columns = list(zip(*means))
         row.update(zip(_MEANS, map(mean, columns)))
-        row["latency_sd_s"] = stdev(columns[0]) if len(means) > 1 else 0.0
+        if len(means) > 1:  # one mean shows no spread
+            row["latency_sd_s"] = stdev(columns[0])
     return row
 
 

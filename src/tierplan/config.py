@@ -19,13 +19,14 @@ Deployment files are INI-style text::
     resource_manager = kubernetes
 
 One table, ``_KEYS``, lists every section and key with its arity and value
-type; parsing, duplicate detection, required keys and rendering all read
-it.  Tier-pair keys may legally appear twice in [infrastructure]: an entry
-with two values is a latency (average, variability), an entry with one
-value is a throughput.  Links are symmetric, so ``a_to_b`` and ``b_to_a``
-name the same link and may not both be given for the same kind.  ``#``
-starts a comment line; a ``#`` after a value is part of the value.  Keys
-are case-sensitive.
+type; parsing, duplicate detection, required keys, rendering and
+validate's check of each value's shape and type all read it.  Tier-pair
+keys may legally appear twice in [infrastructure]: an entry with two
+values is a latency (average, variability), an entry with one value is a
+throughput.  Links are symmetric, so ``a_to_b`` and ``b_to_a`` name the
+same link and may not both be given for the same kind.  ``#`` starts a
+comment line; a ``#`` after a value is part of the value.  Keys are
+case-sensitive.
 """
 
 from __future__ import annotations
@@ -149,10 +150,15 @@ _TEXT = (str, "text", str)
 
 
 def _is_a(value, kind: tuple) -> bool:
-    """Whether ``value`` has a Python type of the value type ``kind``.  A
-    bool is not an integer or a number: it renders as text no number
-    parser reads."""
-    return isinstance(value, kind[2]) and (kind is _BOOLEAN or not isinstance(value, bool))
+    """Whether ``value`` is of the value type ``kind``: it has one of its
+    Python types, and the text render_config writes for it parses back to
+    it.  So a bool is not an integer or a number, and a number is finite
+    as ``_finite`` says and held exactly by a float."""
+    try:
+        return (isinstance(value, kind[2]) and (kind is _BOOLEAN or not isinstance(value, bool))
+                and kind[0](_fmt(value)) == value)
+    except ValueError:
+        return False
 
 
 _TIER_PAIRS = object()  # the table row of every ``<tier>_to_<tier>`` key
@@ -181,6 +187,25 @@ _KEYS = {
 
 _REQUIRED = tuple(f.name for f in fields(DeploymentConfig)
                   if f.default is MISSING and f.default_factory is MISSING)
+
+
+def _lines(config: DeploymentConfig):
+    """Each line render_config writes, in its order: (section, key as
+    written, value type, how many values it lists, the values as the config
+    holds them, whatever their shape).  A list may have any length, given
+    as 0.  An emulation-only key that is None has no line.  Tier-pair
+    mappings must be keyed by canonical pairs."""
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        for key, (arity, kind) in table.items():
+            if arity is _PAIR:
+                for pair in sorted(config.latency, key=_pair_rank):
+                    yield section, pair_key(pair), kind, 2, config.latency[pair]
+                for pair in sorted(config.throughput, key=_pair_rank):
+                    yield section, pair_key(pair), kind, 1, (config.throughput[pair],)
+            elif (value := getattr(record, key)) is not None or key not in EMULATION_KEYS:
+                count = {_ONE: 1, _PER_TIER: len(TIERS), _LIST: 0}[arity]
+                yield section, key, kind, count, (value,) if arity is _ONE else value
 
 
 @dataclass(frozen=True)
@@ -251,24 +276,6 @@ def worker_plan(config: DeploymentConfig) -> WorkerPlan:
     )
 
 
-def _unwritable_text(key: str, arity: str, value) -> str | None:
-    """Why ``render_config`` cannot write a text value back, or None.  The
-    parser strips the text around a value, reads one value per line and
-    splits a list at commas."""
-    listed = arity is _LIST
-    entries = value if listed else (value,)
-    if listed and not entries:
-        return f"{key} must list at least one entry"
-    for entry in entries:
-        if not _is_a(entry, _TEXT):
-            return f"{key} must be {_TEXT[1]}, got {entry!r}"
-        if listed and (not entry or "," in entry):
-            return f"{key} entries must be non-empty and contain no comma, got {entry!r}"
-        if entry != entry.strip() or len(entry.splitlines()) > 1:
-            return f"{key} must not begin or end with whitespace or contain a line break, got {entry!r}"
-    return None
-
-
 def validate(config: DeploymentConfig) -> list[Diagnostic]:
     """All invariant violations in ``config``.
 
@@ -277,33 +284,37 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
     Emulation-only keys that are present each contribute one warning.
     """
     diags: list[Diagnostic] = []
+    unwritable: list[Diagnostic] = []  # reported after the other checks
 
-    def error(key: str, msg: str) -> None:
-        diags.append(Diagnostic("error", key, msg))
+    def error(key: str, msg: str, to: list = diags) -> None:
+        to.append(Diagnostic("error", key, msg))
 
-    for name, (arity, _) in _KEYS["infrastructure"].items():
-        if arity is _PER_TIER and len(getattr(config, name)) != len(TIERS):
-            error(name, f"{name} must have one entry per tier (cloud,edge,endpoint)")
-            return diags
-
-    # A number or boolean of another type would make the checks below raise
-    # or write a value the parser refuses: report each in the words of the
-    # key table, and stop.  Counts and text are checked below.
-    for section, table in _KEYS.items():
-        record = config if section == "infrastructure" else config.benchmark
-        for key, (arity, kind) in table.items():
-            if kind is not _NUMBER and kind is not _BOOLEAN:
-                continue
-            if arity is _PAIR:
-                named = [(pair_key(pair), v) for pair, values in config.latency.items() for v in values]
-                named += [(pair_key(pair), v) for pair, v in config.throughput.items()]
-            elif (value := getattr(record, key)) is None:
-                continue
-            else:
-                named = [(key, v) for v in ((value,) if arity is _ONE else value)]
-            for name, v in named:
-                if not _is_a(v, kind):
-                    error(name, f"{name} must be {kind[1]}, got {v!r}")
+    # A value of the wrong shape or type would make the checks below raise
+    # or misread it: report each by its key, in the words of the key table,
+    # and stop.  Counts, and text render_config could not write back, come later.
+    if not isinstance(config.benchmark, BenchmarkConfig):
+        error("benchmark", f"benchmark must be a BenchmarkConfig, got {config.benchmark!r}")
+    for name in ("latency", "throughput"):
+        links = getattr(config, name)
+        if not isinstance(links, Mapping) or any(pair not in _PAIR_KEYS.values() for pair in links):
+            error(name, f"{name} must be a mapping keyed by canonical tier pairs, got {links!r}")
+    if diags:
+        return diags
+    for _, key, kind, need, values in _lines(config):
+        if not isinstance(values, tuple) or need and len(values) != need:
+            shape = f"a tuple of {need} values" if need else "a tuple"
+            error(key, f"{key} must be {shape}, got {values!r}")
+            continue
+        if not values:  # written as one empty entry
+            error(key, f"{key} must list at least one entry", unwritable)
+        for value in values:  # the parser splits a list at commas and reads one stripped line
+            if kind is not _INTEGER and not _is_a(value, kind):
+                error(key, f"{key} must be {kind[1]}, got {value!r}")
+            elif kind is _TEXT and not need and (not value or "," in value):
+                error(key, f"{key} entries must be non-empty and contain no comma, got {value!r}", unwritable)
+            elif kind is _TEXT and (value != value.strip() or len(value.splitlines()) > 1):
+                error(key, f"{key} must not begin or end with whitespace or contain a line break, "
+                           f"got {value!r}", unwritable)
     if diags:
         return diags
 
@@ -324,22 +335,20 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
                 error("cores_per_device", f"{tier} tier has {count} devices but no cores per device")
             if not 0 < quota <= 1:
                 error("quota_per_cpu", f"quota for populated tier {tier} must lie in (0, 1], got {quota!r}")
-        elif not math.isfinite(quota):
-            error("quota_per_cpu", f"quota for {tier} must be finite, got {quota!r}")
     if total > MAX_DEVICES:
         error("devices_per_tier", f"{total} devices in all, more than the {MAX_DEVICES} a topology may have")
 
     for pair, (avg, sd) in config.latency.items():
-        if not (0 <= avg < math.inf and 0 <= sd < math.inf):
+        if min(avg, sd) < 0:
             error(pair_key(pair), f"latency for {pair_key(pair)} must be finite and non-negative, "
                                   f"got {avg!r},{sd!r}")
 
     freq = config.benchmark.data_generation_frequency
-    if not (freq >= 0 and math.isfinite(freq)):
+    if freq < 0:
         error("data_generation_frequency", f"data_generation_frequency must be finite and non-negative, got {freq!r}")
 
     plan: WorkerPlan | None = None
-    if all(_is_a(count, _NUMBER) for count in config.devices_per_tier):  # else reported above
+    if all(_is_a(count, _INTEGER) for count in config.devices_per_tier):  # else reported above
         try:
             plan = worker_plan(config)
         except PlanError as exc:
@@ -353,9 +362,6 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
             error(link_name, f"pipeline crosses the {link_name} link but no throughput entry is given")
 
     for pair, value in config.throughput.items():
-        if not math.isfinite(value):
-            error(pair_key(pair), f"throughput for {pair_key(pair)} must be finite, got {value!r}")
-            continue
         if value > 0:
             continue
         msg = f"throughput for {pair_key(pair)} must be positive, got {value!r}"
@@ -364,13 +370,7 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
         else:
             diags.append(Diagnostic("warning", pair_key(pair), msg + " (link unused by this deployment)"))
 
-    for section, table in _KEYS.items():
-        record = config if section == "infrastructure" else config.benchmark
-        for key, (arity, kind) in table.items():
-            if kind is _TEXT and (value := getattr(record, key)) is not None:
-                if message := _unwritable_text(key, arity, value):
-                    error(key, message)
-
+    diags += unwritable
     for key in EMULATION_KEYS:
         if getattr(config, key) is not None:
             diags.append(Diagnostic(
@@ -542,25 +542,15 @@ def _pair_rank(pair: TierPair) -> tuple[int, int]:
 def render_config(config: DeploymentConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c for valid c.
 
-    Canonical means: sections and keys in the order of the key table, keys
-    whose value is None left out, tier pairs sorted cloud < edge <
-    endpoint, latency entries before throughput entries, numbers in their
-    shortest round-tripping form.
+    Canonical means: sections and keys in the order of the key table,
+    emulation-only keys that are None left out, tier pairs sorted cloud <
+    edge < endpoint, latency entries before throughput entries, numbers in
+    their shortest round-tripping form.
     """
-    blocks = []
-    for section, table in _KEYS.items():
-        record = config if section == "infrastructure" else config.benchmark
-        lines = [f"[{section}]"]
-        for key, (arity, _) in table.items():
-            if arity is _PAIR:
-                lines += [f"{pair_key(pair)} = {_fmt_seq(config.latency[pair])}"
-                          for pair in sorted(config.latency, key=_pair_rank)]
-                lines += [f"{pair_key(pair)} = {_fmt(config.throughput[pair])}"
-                          for pair in sorted(config.throughput, key=_pair_rank)]
-            elif (value := getattr(record, key)) is not None:
-                lines.append(f"{key} = {_fmt_seq((value,) if arity is _ONE else value)}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n"
+    blocks = {section: [f"[{section}]"] for section in _KEYS}
+    for section, key, _, _, values in _lines(config):
+        blocks[section].append(f"{key} = {_fmt_seq(values)}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 # ---------------------------------------------------------------------------

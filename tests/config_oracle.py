@@ -1,10 +1,12 @@
-"""The config parser and renderer before they were driven by one key table.
+"""The config parser, renderer and validator as they were before each was
+driven by one walk of the key table.
 
-``_parse_structure`` and ``render_config`` are kept verbatim, with the
-helpers they call, as the oracle of the differential test in
-``tests/test_config_table.py``: the table-driven versions in
-``tierplan.config`` must produce the same diagnostics, the same configs and
-the same text.
+``_parse_structure`` and ``render_config`` (before the key table), and
+``validate`` (before one walk of the table checked each value's shape and
+type) are kept verbatim, with the helpers they call, as the oracle of the
+differential test in ``tests/test_config_table.py``: the table-driven
+versions in ``tierplan.config`` must produce the same diagnostics, the same
+configs and the same text.
 """
 
 from __future__ import annotations
@@ -12,13 +14,28 @@ from __future__ import annotations
 import math
 
 from tierplan.config import (
+    _BOOLEAN,
+    _INTEGER,
+    _KEYS,
+    _LIST,
+    _NUMBER,
+    _ONE,
+    _PAIR,
     _PAIR_KEYS,
+    _PER_TIER,
+    _TEXT,
     _TIER_RANK,
+    EMULATION_KEYS,
+    MAX_DEVICES,
+    TIERS,
     BenchmarkConfig,
     DeploymentConfig,
     Diagnostic,
+    PlanError,
     TierPair,
+    WorkerPlan,
     pair_key,
+    worker_plan,
 )
 
 
@@ -260,3 +277,139 @@ def render_config(config: DeploymentConfig) -> str:
         f"resource_manager = {bench.resource_manager}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _is_a(value, kind: tuple) -> bool:
+    """Whether ``value`` has a Python type of the value type ``kind``.  A
+    bool is not an integer or a number: it renders as text no number
+    parser reads."""
+    return isinstance(value, kind[2]) and (kind is _BOOLEAN or not isinstance(value, bool))
+
+
+def _unwritable_text(key: str, arity: str, value) -> str | None:
+    """Why ``render_config`` cannot write a text value back, or None.  The
+    parser strips the text around a value, reads one value per line and
+    splits a list at commas."""
+    listed = arity is _LIST
+    entries = value if listed else (value,)
+    if listed and not entries:
+        return f"{key} must list at least one entry"
+    for entry in entries:
+        if not _is_a(entry, _TEXT):
+            return f"{key} must be {_TEXT[1]}, got {entry!r}"
+        if listed and (not entry or "," in entry):
+            return f"{key} entries must be non-empty and contain no comma, got {entry!r}"
+        if entry != entry.strip() or len(entry.splitlines()) > 1:
+            return f"{key} must not begin or end with whitespace or contain a line break, got {entry!r}"
+    return None
+
+
+def validate(config: DeploymentConfig) -> list[Diagnostic]:
+    """All invariant violations in ``config``.
+
+    No error-severity entry means the config can be turned into a topology
+    and that ``render_config`` writes it back as text that parses to it.
+    Emulation-only keys that are present each contribute one warning.
+    """
+    diags: list[Diagnostic] = []
+
+    def error(key: str, msg: str) -> None:
+        diags.append(Diagnostic("error", key, msg))
+
+    for name, (arity, _) in _KEYS["infrastructure"].items():
+        if arity is _PER_TIER and len(getattr(config, name)) != len(TIERS):
+            error(name, f"{name} must have one entry per tier (cloud,edge,endpoint)")
+            return diags
+
+    # A number or boolean of another type would make the checks below raise
+    # or write a value the parser refuses: report each in the words of the
+    # key table, and stop.  Counts and text are checked below.
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        for key, (arity, kind) in table.items():
+            if kind is not _NUMBER and kind is not _BOOLEAN:
+                continue
+            if arity is _PAIR:
+                named = [(pair_key(pair), v) for pair, values in config.latency.items() for v in values]
+                named += [(pair_key(pair), v) for pair, v in config.throughput.items()]
+            elif (value := getattr(record, key)) is None:
+                continue
+            else:
+                named = [(key, v) for v in ((value,) if arity is _ONE else value)]
+            for name, v in named:
+                if not _is_a(v, kind):
+                    error(name, f"{name} must be {kind[1]}, got {v!r}")
+    if diags:
+        return diags
+
+    total = 0
+    for i, tier in enumerate(TIERS):
+        count = config.devices_per_tier[i]
+        if not _is_a(count, _INTEGER) or count < 0:
+            error("devices_per_tier", f"device count for {tier} must be a non-negative integer, got {count!r}")
+            continue
+        total += count
+        cores = config.cores_per_device[i]
+        if not _is_a(cores, _INTEGER) or cores < 0:
+            error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {cores!r}")
+            continue
+        quota = config.quota_per_cpu[i]
+        if count > 0:
+            if cores < 1:
+                error("cores_per_device", f"{tier} tier has {count} devices but no cores per device")
+            if not 0 < quota <= 1:
+                error("quota_per_cpu", f"quota for populated tier {tier} must lie in (0, 1], got {quota!r}")
+        elif not math.isfinite(quota):
+            error("quota_per_cpu", f"quota for {tier} must be finite, got {quota!r}")
+    if total > MAX_DEVICES:
+        error("devices_per_tier", f"{total} devices in all, more than the {MAX_DEVICES} a topology may have")
+
+    for pair, (avg, sd) in config.latency.items():
+        if not (0 <= avg < math.inf and 0 <= sd < math.inf):
+            error(pair_key(pair), f"latency for {pair_key(pair)} must be finite and non-negative, "
+                                  f"got {avg!r},{sd!r}")
+
+    freq = config.benchmark.data_generation_frequency
+    if not (freq >= 0 and math.isfinite(freq)):
+        error("data_generation_frequency", f"data_generation_frequency must be finite and non-negative, got {freq!r}")
+
+    plan: WorkerPlan | None = None
+    if all(_is_a(count, _NUMBER) for count in config.devices_per_tier):  # else reported above
+        try:
+            plan = worker_plan(config)
+        except PlanError as exc:
+            error("devices_per_tier", str(exc))
+
+    if plan is not None:
+        link_name = pair_key(plan.link)
+        if plan.link not in config.latency:
+            error(link_name, f"pipeline crosses the {link_name} link but no latency entry is given")
+        if plan.link not in config.throughput:
+            error(link_name, f"pipeline crosses the {link_name} link but no throughput entry is given")
+
+    for pair, value in config.throughput.items():
+        if not math.isfinite(value):
+            error(pair_key(pair), f"throughput for {pair_key(pair)} must be finite, got {value!r}")
+            continue
+        if value > 0:
+            continue
+        msg = f"throughput for {pair_key(pair)} must be positive, got {value!r}"
+        if plan is not None and pair == plan.link:
+            error(pair_key(pair), msg)
+        else:
+            diags.append(Diagnostic("warning", pair_key(pair), msg + " (link unused by this deployment)"))
+
+    for section, table in _KEYS.items():
+        record = config if section == "infrastructure" else config.benchmark
+        for key, (arity, kind) in table.items():
+            if kind is _TEXT and (value := getattr(record, key)) is not None:
+                if message := _unwritable_text(key, arity, value):
+                    error(key, message)
+
+    for key in EMULATION_KEYS:
+        if getattr(config, key) is not None:
+            diags.append(Diagnostic(
+                "warning", key,
+                f"{key} only matters when emulating the deployment; retained but ignored by the planner",
+            ))
+    return diags

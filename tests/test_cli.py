@@ -352,10 +352,15 @@ class TestCompare:
         assert loads["cloud"] == pytest.approx(70.0)
         assert loads["edge-small"] == pytest.approx(280.0 / 3.0)
 
-    def test_single_repeat_has_zero_sd(self, capsys):
-        payload = run_json(capsys, "compare", "cloud", "mist", "--json",
-                           "--repeats", "1", "--duration", "4")
-        assert all(row["latency_sd_s"] == 0.0 for row in payload["presets"])
+    def test_single_repeat_has_null_sd(self, capsys):
+        argv = ("compare", "cloud", "mist", "--repeats", "1", "--duration", "4")
+        payload = run_json(capsys, *argv, "--json")
+        jsonschema.validate(payload, COMPARE_OUTPUT_SCHEMA)
+        assert [row["latency_sd_s"] for row in payload["presets"]] == [None, None]
+        assert None not in [row["latency_mean_s"] for row in payload["presets"]]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert [line.split()[3] for line in out.splitlines()[1:3]] == ["-", "-"]
 
     def test_preset_without_measured_elements_has_null_fields(self, capsys):
         argv = ("compare", "edge-small", "mist", "--tproc", "edge=1000", "--repeats", "2", "--duration", "5")

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tierplan.config import (
     BenchmarkConfig,
     ConfigError,
+    DeploymentConfig,
     PRESET_NAMES,
     check_config,
     load_preset,
@@ -18,6 +21,7 @@ from tierplan.config import (
     validate,
     worker_plan,
 )
+from tierplan.topology import build_topology
 
 
 def errors_of(diags):
@@ -209,55 +213,115 @@ class TestValidate:
             assert "no data-generating endpoints" in errors_of(diags)[0].message
 
 
+def replaced(config, **changes):
+    """``config`` with fields of it and of its benchmark replaced."""
+    benchmark = {f.name: changes.pop(f.name) for f in dataclasses.fields(BenchmarkConfig) if f.name in changes}
+    changes.setdefault("benchmark", dataclasses.replace(config.benchmark, **benchmark))
+    return dataclasses.replace(config, **changes)
+
+
+TEXT_BASE = load_preset("edge-small")
+LINK = ("edge", "endpoint")
+UNWRITABLE_TEXT = [
+    {"application": " x"}, {"application": "x "}, {"application": "\tx"},
+    {"application": "a\n[benchmark]"}, {"resource_manager": "a\rb"}, {"hypervisor": "kvm\u2028"},
+    {"hypervisor": " "}, {"machine_address": ()}, {"machine_address": ("10.0.0.1", "")},
+    {"machine_address": ("10.0.0.1,10.0.0.2",)}, {"machine_address": (" 10.0.0.1",)},
+    {"machine_address": ("a\nb",)}, {"application": 5},
+]
+WRONG_TYPES = [
+    ({"quota_per_cpu": (1.0, "x", 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got 'x'"),
+    ({"quota_per_cpu": (1.0, True, 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got True"),
+    ({"latency": {LINK: ("45", 5.0)}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '45'"),
+    ({"throughput": {LINK: "8"}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '8'"),
+    ({"data_generation_frequency": "5"}, "data_generation_frequency",
+     "data_generation_frequency must be a finite number, got '5'"),
+    ({"thread_pinning": "yes"}, "thread_pinning", "thread_pinning must be True or False, got 'yes'"),
+    ({"use_benchmark": 1}, "use_benchmark", "use_benchmark must be True or False, got 1"),
+    ({"devices_per_tier": (True, 10, 20)}, "devices_per_tier",
+     "device count for cloud must be a non-negative integer, got True"),
+    ({"devices_per_tier": (1, "10", 20)}, "devices_per_tier",
+     "device count for edge must be a non-negative integer, got '10'"),
+]
+WRITABLE_TEXT = [
+    {"application": "x"}, {"application": "a b"}, {"application": ""}, {"application": "a=b # c"},
+    {"resource_manager": "[benchmark]"}, {"hypervisor": ""}, {"hypervisor": "qemu kvm"},
+    {"machine_address": ("10.0.0.1",)}, {"machine_address": ("a b", "c=d")},
+]
+
+
 class TestTextValues:
     """Text ``render_config`` could not write back is an error, and so is a
     value of the wrong type; the accepted neighbours of such text roundtrip."""
 
-    BASE = load_preset("edge-small")
-    LINK = ("edge", "endpoint")
-
-    def with_text(self, **changes):
-        benchmark = {f.name: changes.pop(f.name) for f in dataclasses.fields(BenchmarkConfig) if f.name in changes}
-        return dataclasses.replace(self.BASE, benchmark=dataclasses.replace(self.BASE.benchmark, **benchmark),
-                                   **changes)
-
-    @pytest.mark.parametrize("changes", [
-        {"application": " x"}, {"application": "x "}, {"application": "\tx"},
-        {"application": "a\n[benchmark]"}, {"resource_manager": "a\rb"}, {"hypervisor": "kvm\u2028"},
-        {"hypervisor": " "}, {"machine_address": ()}, {"machine_address": ("10.0.0.1", "")},
-        {"machine_address": ("10.0.0.1,10.0.0.2",)}, {"machine_address": (" 10.0.0.1",)},
-        {"machine_address": ("a\nb",)}, {"application": 5},
-    ])
+    @pytest.mark.parametrize("changes", UNWRITABLE_TEXT)
     def test_unwritable_text_is_an_error(self, changes):
         (key,) = changes
-        assert [d.key for d in errors_of(validate(self.with_text(**changes)))] == [key]
+        assert [d.key for d in errors_of(validate(replaced(TEXT_BASE, **changes)))] == [key]
 
-    @pytest.mark.parametrize("changes, key, message", [
-        ({"quota_per_cpu": (1.0, "x", 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got 'x'"),
-        ({"quota_per_cpu": (1.0, True, 0.5)}, "quota_per_cpu", "quota_per_cpu must be a finite number, got True"),
-        ({"latency": {LINK: ("45", 5.0)}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '45'"),
-        ({"throughput": {LINK: "8"}}, "edge_to_endpoint", "edge_to_endpoint must be a finite number, got '8'"),
-        ({"data_generation_frequency": "5"}, "data_generation_frequency",
-         "data_generation_frequency must be a finite number, got '5'"),
-        ({"thread_pinning": "yes"}, "thread_pinning", "thread_pinning must be True or False, got 'yes'"),
-        ({"use_benchmark": 1}, "use_benchmark", "use_benchmark must be True or False, got 1"),
-        ({"devices_per_tier": (True, 10, 20)}, "devices_per_tier",
-         "device count for cloud must be a non-negative integer, got True"),
-        ({"devices_per_tier": (1, "10", 20)}, "devices_per_tier",
-         "device count for edge must be a non-negative integer, got '10'"),
-    ])
+    @pytest.mark.parametrize("changes, key, message", WRONG_TYPES)
     def test_a_value_of_the_wrong_type_is_an_error(self, changes, key, message):
-        assert [(d.key, d.message) for d in errors_of(validate(self.with_text(**changes)))] == [(key, message)]
+        assert [(d.key, d.message) for d in errors_of(validate(replaced(TEXT_BASE, **changes)))] == [(key, message)]
 
-    @pytest.mark.parametrize("changes", [
-        {"application": "x"}, {"application": "a b"}, {"application": ""}, {"application": "a=b # c"},
-        {"resource_manager": "[benchmark]"}, {"hypervisor": ""}, {"hypervisor": "qemu kvm"},
-        {"machine_address": ("10.0.0.1",)}, {"machine_address": ("a b", "c=d")},
-    ])
+    @pytest.mark.parametrize("changes", WRITABLE_TEXT)
     def test_writable_neighbours_roundtrip(self, changes):
-        config = self.with_text(**changes)
+        config = replaced(TEXT_BASE, **changes)
         assert errors_of(validate(config)) == []
         assert parse_config(render_config(config)) == config
+
+
+# Values of the wrong shape or type for any field: no preset holds one of
+# them where it is, though some are right for another field.
+WRONG_VALUES = [
+    None, True, 0, -1, 5, 1.5, -0.0, 10**400, 2**53 + 1, math.nan, math.inf, "", "x", "abc", " x", "a,b",
+    "a\nb", "8", (), (1,), (45.0, 5.0), (45.0, 5.0, 1.0), (4, 0, 1), [4, 0, 1], [45.0, 5.0], (True, 0, 1),
+    ("x", 1, 2), (1.0, 10**400, 0.5), (10**400, 5.0), (2**53 + 1, 0.0), ("10.0.0.1",), ("a", ""), {},
+    {("cloud", "endpoint"): 1.0}, BenchmarkConfig(),
+]
+FIELDS = [f.name for f in dataclasses.fields(DeploymentConfig) + dataclasses.fields(BenchmarkConfig)]
+# a field, or one entry of a link mapping: the preset's worker link or another
+TARGETS = st.sampled_from(FIELDS) | st.tuples(
+    st.sampled_from(["latency", "throughput"]),
+    st.sampled_from([None, ("cloud", "cloud"), ("edge", "cloud"), ("foo", "bar")]))
+
+
+def changed(name, changes):
+    """The preset ``name`` with each (target, value) of ``changes`` set in turn."""
+    config = load_preset(name)
+    fields = {}
+    links = {"latency": dict(config.latency), "throughput": dict(config.throughput)}
+    for target, value in changes:
+        if isinstance(target, tuple):
+            kind, pair = target
+            links[kind][pair or worker_plan(config).link] = value
+            fields[kind] = links[kind]
+        else:
+            fields[target] = value
+    return replaced(config, **fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(PRESET_NAMES),
+       st.lists(st.tuples(TARGETS, st.sampled_from(WRONG_VALUES)), min_size=1, max_size=3))
+@example("cloud", [("devices_per_tier", 5)])
+@example("cloud", [(("latency", None), 45.0)])
+@example("cloud", [(("latency", None), (45.0, 5.0, 1.0))])
+@example("cloud", [("data_generation_frequency", 10**400)])
+@example("cloud", [(("throughput", ("cloud", "cloud")), 10**400)])
+@example("cloud", [("quota_per_cpu", (1.0, 10**400, 0.5))])
+@example("cloud", [("machine_address", "abc")])
+@example("cloud", [("cores_per_device", [4, 0, 1])])
+@example("cloud", [(("latency", None), [45.0, 5.0])])
+@example("cloud", [(("latency", ("edge", "cloud")), (1.0, 0.0))])
+@example("mist", [(("latency", None), (10**400, 1.0))])
+@example("mist", [(("throughput", ("foo", "bar")), 1.0)])
+def test_validate_is_total_and_honest(name, changes):
+    """validate never raises, and a config it passes writes back as text
+    that parses to it and builds a topology."""
+    config = changed(name, changes)
+    if not errors_of(validate(config)):
+        assert parse_config(render_config(config)) == config
+        build_topology(config)
 
 
 class TestWorkerPlan:

@@ -1,5 +1,6 @@
-"""The table-driven config parser and renderer against the hand-written ones
-they replaced (``tests/config_oracle.py``), and the documented examples."""
+"""The table-driven config parser, renderer and validator against the
+versions they replaced (``tests/config_oracle.py``), and the documented
+examples."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import config_oracle as oracle
 from hypothesis import example, given, settings, strategies as st
 
 from tierplan import config as table_config
-from tierplan.config import PRESET_NAMES, check_config, load_preset, render_config
+from tierplan.config import PRESET_NAMES, check_config, load_preset, render_config, validate
 
 from conftest import FULL_CONFIG, MINIMAL_CONFIG
+from test_config import TEXT_BASE, UNWRITABLE_TEXT, WRITABLE_TEXT, WRONG_TYPES, replaced
 
 KEYS = [key for table in table_config._KEYS.values() for key in table if isinstance(key, str)]
 PAIR_KEYS = ["cloud_to_cloud", "cloud_to_edge", "edge_to_cloud", "cloud_to_endpoint", "edge_to_edge",
@@ -75,6 +77,28 @@ class TestMatchesTheOracle:
         if valid is not None:
             assert render_config(valid) == oracle.render_config(valid)
 
+    @settings(max_examples=600, deadline=None)
+    @given(config_texts())
+    @example(MINIMAL_CONFIG.replace("7.5,0", "-1,0"))
+    @example(MINIMAL_CONFIG.replace("7.5,0", "1,-0.5") + "cloud_to_cloud = -1,-1\ncloud_to_cloud = -2\n")
+    @example(MINIMAL_CONFIG + "[benchmark]\ndata_generation_frequency = -5\n")
+    @example(MINIMAL_CONFIG.replace("0,1,2", "0,0," + "2" * 400))
+    @example(MINIMAL_CONFIG.replace("0,1,2", "0,1,-2").replace("0,0.75", "-1,0.75"))
+    def test_same_validation(self, text):
+        """Every message a config file can reach, byte for byte."""
+        old_config, old_diags = oracle._parse_structure(text)
+        if old_config is not None:
+            old_diags = old_diags + oracle.validate(old_config)
+        assert _as_tuples(check_config(text)[1]) == _as_tuples(old_diags)
+
+    def test_same_validation_of_presets_and_text_values(self):
+        configs = [load_preset(name) for name in PRESET_NAMES]
+        configs += [replaced(TEXT_BASE, **changes)
+                    for changes in UNWRITABLE_TEXT + WRITABLE_TEXT + [case[0] for case in WRONG_TYPES]]
+        for config in configs:
+            new, old = validate(config), oracle.validate(config)
+            assert [(d.severity, d.key) for d in new] == [(d.severity, d.key) for d in old], config
+
     def test_lone_negative_zero_is_stored_as_zero(self):
         text = MINIMAL_CONFIG + "[benchmark]\ndata_generation_frequency = -0\n"
         config, _ = table_config._parse_structure(text)
@@ -87,7 +111,7 @@ class TestMatchesTheOracle:
 
 
 def test_parser_and_renderer_name_no_key_outside_the_table():
-    for function in (table_config._parse_structure, table_config.render_config):
+    for function in (table_config._parse_structure, table_config.render_config, table_config._lines):
         source = inspect.getsource(function)
         assert [key for key in KEYS if key in source] == []
 
