@@ -177,7 +177,9 @@ def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:
 def family_from_topology(topology: Topology) -> DeploymentFamily:
     """Collapse a (homogeneous) topology into its placement family: the
     source spec plus one offload option named after the worker tier.  A
-    local-only topology yields a family with no offload options."""
+    local-only topology yields a family with no offload options.  Raises
+    TopologyError for a topology that ``Topology.check`` refuses."""
+    topology.check()
     sources = topology.sources
     if not sources:
         raise ValueError("topology has no data-generating endpoints")
@@ -186,7 +188,7 @@ def family_from_topology(topology: Topology) -> DeploymentFamily:
     if link is None:
         return DeploymentFamily(endpoint=endpoint)
     worker = topology.workers[0]
-    option = OffloadOption(worker, topology.endpoints_per_worker, link)
+    option = OffloadOption(worker, len(topology.assignment[worker.id]), link)
     return DeploymentFamily(endpoint=endpoint, options={worker.tier: option})
 
 
@@ -221,6 +223,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (0 < self.rate_max < math.inf and 0 < self.proc_max < math.inf):
             raise ValueError(f"grid ranges must be positive and finite, got rate_max={self.rate_max}, proc_max={self.proc_max}")
+        if not (isinstance(self.rate_steps, int) and isinstance(self.proc_steps, int)):
+            raise ValueError(f"grid sample counts must be integers, got rate_steps={self.rate_steps!r}, "
+                             f"proc_steps={self.proc_steps!r}")
         if self.rate_steps < 2 or self.proc_steps < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         if self.rate_steps * self.proc_steps > MAX_CELLS:

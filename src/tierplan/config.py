@@ -208,6 +208,24 @@ def _lines(config: DeploymentConfig):
                 yield section, key, kind, count, (value,) if arity is _ONE else value
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for a message.  An int too long for ``repr`` (more
+    digits than ``sys.get_int_max_str_digits()``) shows as its bit length,
+    also inside a tuple, list or mapping, so a message never raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        pass
+    if isinstance(value, int):
+        return f"<{'negative ' if value < 0 else ''}int of {value.bit_length()} bits>"
+    if isinstance(value, Mapping):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, (tuple, list)):
+        items = ", ".join(map(_shown, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items}{',' if len(value) == 1 else ''})"
+    return f"<{type(value).__name__}>"
+
+
 @dataclass(frozen=True)
 class WorkerPlan:
     """How a config maps onto compute roles, before devices are materialized.
@@ -249,8 +267,8 @@ def worker_plan(config: DeploymentConfig) -> WorkerPlan:
             workers, controllers = cloud - 1, 1
         else:
             raise PlanError(
-                f"{endpoint} endpoints cannot be spread evenly over "
-                f"{cloud} cloud devices (or {cloud} minus a controller)"
+                f"{_shown(endpoint)} endpoints cannot be spread evenly over "
+                f"{_shown(cloud)} cloud devices (or {_shown(cloud)} minus a controller)"
             )
     elif endpoint > 0:
         workers = endpoint // 2
@@ -263,8 +281,8 @@ def worker_plan(config: DeploymentConfig) -> WorkerPlan:
         raise PlanError(f"no data-generating endpoints for the {worker_tier} workers to serve")
     if sources % workers:
         raise PlanError(
-            f"{sources} endpoints cannot be spread evenly over "
-            f"{workers} {worker_tier} workers"
+            f"{_shown(sources)} endpoints cannot be spread evenly over "
+            f"{_shown(workers)} {worker_tier} workers"
         )
     return WorkerPlan(
         worker_tier=worker_tier,
@@ -293,28 +311,29 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
     # or misread it: report each by its key, in the words of the key table,
     # and stop.  Counts, and text render_config could not write back, come later.
     if not isinstance(config.benchmark, BenchmarkConfig):
-        error("benchmark", f"benchmark must be a BenchmarkConfig, got {config.benchmark!r}")
+        error("benchmark", f"benchmark must be a BenchmarkConfig, got {_shown(config.benchmark)}")
     for name in ("latency", "throughput"):
         links = getattr(config, name)
         if not isinstance(links, Mapping) or any(pair not in _PAIR_KEYS.values() for pair in links):
-            error(name, f"{name} must be a mapping keyed by canonical tier pairs, got {links!r}")
+            error(name, f"{name} must be a mapping keyed by canonical tier pairs, got {_shown(links)}")
     if diags:
         return diags
     for _, key, kind, need, values in _lines(config):
         if not isinstance(values, tuple) or need and len(values) != need:
             shape = f"a tuple of {need} values" if need else "a tuple"
-            error(key, f"{key} must be {shape}, got {values!r}")
+            error(key, f"{key} must be {shape}, got {_shown(values)}")
             continue
         if not values:  # written as one empty entry
             error(key, f"{key} must list at least one entry", unwritable)
         for value in values:  # the parser splits a list at commas and reads one stripped line
             if kind is not _INTEGER and not _is_a(value, kind):
-                error(key, f"{key} must be {kind[1]}, got {value!r}")
+                error(key, f"{key} must be {kind[1]}, got {_shown(value)}")
             elif kind is _TEXT and not need and (not value or "," in value):
-                error(key, f"{key} entries must be non-empty and contain no comma, got {value!r}", unwritable)
+                error(key, f"{key} entries must be non-empty and contain no comma, got {_shown(value)}",
+                      unwritable)
             elif kind is _TEXT and (value != value.strip() or len(value.splitlines()) > 1):
                 error(key, f"{key} must not begin or end with whitespace or contain a line break, "
-                           f"got {value!r}", unwritable)
+                           f"got {_shown(value)}", unwritable)
     if diags:
         return diags
 
@@ -322,30 +341,33 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
     for i, tier in enumerate(TIERS):
         count = config.devices_per_tier[i]
         if not _is_a(count, _INTEGER) or count < 0:
-            error("devices_per_tier", f"device count for {tier} must be a non-negative integer, got {count!r}")
+            error("devices_per_tier",
+                  f"device count for {tier} must be a non-negative integer, got {_shown(count)}")
             continue
         total += count
         cores = config.cores_per_device[i]
         if not _is_a(cores, _INTEGER) or cores < 0:
-            error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {cores!r}")
+            error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {_shown(cores)}")
             continue
         quota = config.quota_per_cpu[i]
         if count > 0:
             if cores < 1:
-                error("cores_per_device", f"{tier} tier has {count} devices but no cores per device")
+                error("cores_per_device", f"{tier} tier has {_shown(count)} devices but no cores per device")
             if not 0 < quota <= 1:
-                error("quota_per_cpu", f"quota for populated tier {tier} must lie in (0, 1], got {quota!r}")
+                error("quota_per_cpu", f"quota for populated tier {tier} must lie in (0, 1], got {_shown(quota)}")
     if total > MAX_DEVICES:
-        error("devices_per_tier", f"{total} devices in all, more than the {MAX_DEVICES} a topology may have")
+        error("devices_per_tier",
+              f"{_shown(total)} devices in all, more than the {MAX_DEVICES} a topology may have")
 
     for pair, (avg, sd) in config.latency.items():
         if min(avg, sd) < 0:
             error(pair_key(pair), f"latency for {pair_key(pair)} must be finite and non-negative, "
-                                  f"got {avg!r},{sd!r}")
+                                  f"got {_shown(avg)},{_shown(sd)}")
 
     freq = config.benchmark.data_generation_frequency
     if freq < 0:
-        error("data_generation_frequency", f"data_generation_frequency must be finite and non-negative, got {freq!r}")
+        error("data_generation_frequency",
+              f"data_generation_frequency must be finite and non-negative, got {_shown(freq)}")
 
     plan: WorkerPlan | None = None
     if all(_is_a(count, _INTEGER) for count in config.devices_per_tier):  # else reported above
@@ -364,7 +386,7 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
     for pair, value in config.throughput.items():
         if value > 0:
             continue
-        msg = f"throughput for {pair_key(pair)} must be positive, got {value!r}"
+        msg = f"throughput for {pair_key(pair)} must be positive, got {_shown(value)}"
         if plan is not None and pair == plan.link:
             error(pair_key(pair), msg)
         else:

@@ -30,9 +30,10 @@ A stage counts as reached when its time is at most the duration; the last
 stage reached is the element's phase.  These are the float operations, and
 the tie order, of an event loop ordered by (time, insertion sequence), which
 the test suite keeps as a differential oracle.  The recursions need the
-shared timelines, so ``simulate`` rejects topologies that ``build_topology``
-never makes: offloaded sources with different preprocessing times, and a
-worker that processes its own elements and other sources' too.
+shared timelines, so ``simulate`` rejects two topologies that
+``build_topology`` never makes: offloaded sources with different
+preprocessing times, and (through ``Topology.check``) a worker that
+processes its own elements and other sources' too.
 
 Per-element results are kept as columns (one list per field); records are
 built only for ``SimReport.elements``, and ``write_trace_csv`` formats the
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO, Callable, Iterable, Iterator
 
-from .topology import Device, Link, Topology, WorkloadProfile, capacity_of
+from .topology import Link, Topology, WorkloadProfile, capacity_of
 
 # Largest run simulate accepts, in elements: a run peaks at about 210 bytes
 # per element (see README, "Simulator model").
@@ -207,32 +208,19 @@ def _generation_times(rate: float, duration: float, max_elements: int | None) ->
     return times
 
 
-def _assign(topology: Topology, workload: WorkloadProfile,
-            workers: dict[str, Device]) -> tuple[list[tuple[str, str]], dict[str, list[int]], float]:
+def _assign(topology: Topology,
+            workload: WorkloadProfile) -> tuple[list[tuple[str, str]], dict[str, list[int]], float]:
     """Sources by rank as (source id, worker id), each worker's source ranks,
     and the preprocessing time all offloaded sources share."""
-    owner: dict[str, str] = {}
-    pre_times: set[float] = set()
-    for worker_id, assigned in topology.assignment.items():
-        for source_id in assigned:
-            device = topology.device(source_id)
-            owner[source_id] = worker_id
-            if source_id != worker_id:
-                if topology.worker_link is None:
-                    raise ValueError(f"source {source_id} offloads to {worker_id} but the topology has no link")
-                pre_times.add(workload.pre_time / device.quota)
+    sources = sorted((source_id, worker_id) for worker_id, assigned in topology.assignment.items()
+                     for source_id in assigned)
+    pre_times = {workload.pre_time / topology.device(source_id).quota
+                 for source_id, worker_id in sources if source_id != worker_id}
     if len(pre_times) > 1:
         raise ValueError("offloaded sources must share one preprocessing time (same endpoint quota)")
-
-    sources = [(source_id, owner[source_id]) for source_id in sorted(owner)]
     ranks: dict[str, list[int]] = {}
-    for rank, (source_id, worker_id) in enumerate(sources):
-        if worker_id not in workers:
-            raise ValueError(f"source {source_id} is assigned to {worker_id}, which is not a worker")
+    for rank, (_, worker_id) in enumerate(sources):
         ranks.setdefault(worker_id, []).append(rank)
-    for worker_id, assigned in ranks.items():
-        if owner.get(worker_id) == worker_id and len(assigned) > 1:
-            raise ValueError(f"worker {worker_id} processes its own elements and other sources' too")
     return sources, ranks, pre_times.pop() if pre_times else 0.0
 
 
@@ -404,16 +392,15 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     element's stage times.
 
     Raises ValueError for a workload that ``WorkloadProfile.check``
-    refuses, a topology without workers, offloaded sources without a link,
-    a run of more than ``MAX_ELEMENTS`` elements, and the two topologies the
-    stage recursions do not cover (see the module docstring)."""
+    refuses, a topology that ``Topology.check`` refuses, offloaded sources
+    with different preprocessing times (see the module docstring) and a run
+    of more than ``MAX_ELEMENTS`` elements."""
     workload.check()
+    topology.check()
     duration, warmup, rate = params.duration, params.warmup_s, workload.rate
-    if not topology.workers:
-        raise ValueError("topology has no workers")
     workers = {device.id: device for device in topology.workers}
     service_s = {wid: workload.proc_on(device.tier) / device.quota for wid, device in workers.items()}
-    sources, ranks, pre_s = _assign(topology, workload, workers)
+    sources, ranks, pre_s = _assign(topology, workload)
 
     n_sources = len(sources)
     estimate = estimated_elements(n_sources, rate, params)

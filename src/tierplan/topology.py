@@ -1,4 +1,4 @@
-"""Concrete topologies (devices, links, endpoint assignment) and workloads.
+"""Concrete topologies (devices, worker link, endpoint assignment) and workloads.
 
 A topology materializes a deployment config into devices with roles:
 workers process elements, sources generate them, controllers coordinate
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
-from .config import TIERS, DeploymentConfig, TierPair, validate, worker_plan
+from .config import TIERS, DeploymentConfig, TierPair, pair_key, validate, worker_plan
 
 
 class TopologyError(ValueError):
@@ -109,9 +109,8 @@ def demand_on_worker(workload: WorkloadProfile, worker_tier: str, endpoints_per_
 @dataclass(frozen=True)
 class Topology:
     devices: tuple[Device, ...]
-    links: tuple[Link, ...]
+    worker_link: Link | None  # the link offloaded elements cross; None for local-only topologies
     assignment: Mapping[str, tuple[str, ...]]  # worker id -> source ids
-    endpoints_per_worker: int
 
     @cached_property
     def _devices_by_id(self) -> dict[str, Device]:
@@ -132,10 +131,51 @@ class Topology:
         assigned = {sid for ids in self.assignment.values() for sid in ids}
         return tuple(d for d in self.devices if d.id in assigned)
 
-    @property
-    def worker_link(self) -> Link | None:
-        """The link offloaded elements cross; None for local-only topologies."""
-        return self.links[0] if self.links else None
+    def check(self) -> None:
+        """Raise TopologyError, naming the fault, unless the topology has a
+        worker; every worker has integer cores >= 1 and a quota in (0, 1];
+        every assignment key is a worker; every source is a device assigned
+        once; a worker that serves itself serves no other source; every
+        offloading source has a quota in (0, 1] and a link to cross; and
+        the link's latency average and sd are finite and >= 0 and its
+        throughput finite and > 0."""
+        workers = {d.id: d for d in self.devices if d.role == "worker"}
+        if not workers:
+            raise TopologyError("topology has no workers")
+        for worker in workers.values():
+            if not (isinstance(worker.cores, int) and worker.cores >= 1 and 0 < worker.quota <= 1):
+                raise TopologyError(f"worker {worker.id} needs integer cores >= 1 and a quota in (0, 1], "
+                                    f"got cores {worker.cores!r}, quota {worker.quota!r}")
+        assigned: set[str] = set()
+        for worker_id, source_ids in self.assignment.items():
+            if worker_id not in workers:
+                raise TopologyError(f"sources are assigned to {worker_id}, which is not a worker")
+            for source_id in source_ids:
+                if source_id in assigned:
+                    raise TopologyError(f"source {source_id} is assigned twice")
+                assigned.add(source_id)
+                device = self._devices_by_id.get(source_id)
+                if device is None:
+                    raise TopologyError(f"source {source_id} is not a device")
+                if source_id == worker_id:
+                    if len(source_ids) > 1:
+                        raise TopologyError(
+                            f"worker {worker_id} processes its own elements and other sources' too")
+                    continue
+                if not 0 < device.quota <= 1:
+                    raise TopologyError(f"source {source_id} offloads with a quota outside (0, 1], "
+                                        f"got {device.quota!r}")
+                if self.worker_link is None:
+                    raise TopologyError(f"source {source_id} offloads to {worker_id} but the topology has no link")
+        link = self.worker_link
+        if link is not None:
+            name = pair_key(link.tiers)
+            if not (0 <= link.latency_avg_ms < math.inf and 0 <= link.latency_sd_ms < math.inf):
+                raise TopologyError(f"latency for {name} must be finite and non-negative, "
+                                    f"got {link.latency_avg_ms!r},{link.latency_sd_ms!r}")
+            if not 0 < link.throughput_mbit < math.inf:
+                raise TopologyError(f"throughput for {name} must be finite and positive, "
+                                    f"got {link.throughput_mbit!r}")
 
 
 def build_topology(config: DeploymentConfig) -> Topology:
@@ -161,24 +201,18 @@ def build_topology(config: DeploymentConfig) -> Topology:
 
     return Topology(
         devices=tuple(devices),
-        links=(Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),),
+        worker_link=Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),
         # round robin: source j goes to worker j mod the worker count
         assignment={w.id: tuple(s.id for s in sources[j::plan.workers]) for j, w in enumerate(workers)},
-        endpoints_per_worker=plan.endpoints_per_worker,
     )
 
 
 def local_topology(count: int, cores: int = 1, quota: float = 0.5) -> Topology:
     """Endpoints that process their own elements: no preprocessing step, no
     network, each device assigned to itself."""
-    if count < 1:
-        raise TopologyError("local topology needs at least one endpoint")
-    if cores < 1 or not 0 < quota <= 1:
-        raise TopologyError(f"endpoints need usable capacity, got cores {cores}, quota {quota}")
+    if not isinstance(count, int):
+        raise TopologyError(f"local topology needs an integer endpoint count, got {count!r}")
     devices = tuple(Device(f"endpoint-{i}", "endpoint", cores, quota, "worker") for i in range(count))
-    return Topology(
-        devices=devices,
-        links=(),
-        assignment={d.id: (d.id,) for d in devices},
-        endpoints_per_worker=1,
-    )
+    topology = Topology(devices=devices, worker_link=None, assignment={d.id: (d.id,) for d in devices})
+    topology.check()
+    return topology

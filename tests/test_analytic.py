@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import pytest
+from test_topology import REFUSED
 
 from tierplan.analytic import (
     BANDWIDTH,
@@ -33,7 +34,7 @@ from tierplan.analytic import (
     system_load,
 )
 from tierplan.config import load_preset
-from tierplan.topology import DEFAULT_WORKLOAD, Device, Link, WorkloadProfile, build_topology
+from tierplan.topology import DEFAULT_WORKLOAD, Device, Link, TopologyError, WorkloadProfile, build_topology
 
 EXACT = 1e-9
 
@@ -216,6 +217,14 @@ class TestFamilyFromTopology:
         assert option.endpoints_per_worker == 2
         assert option.link.throughput_mbit == 8.0
 
+    def test_refuses_what_the_simulator_refuses(self):
+        # a NaN latency was classified "edge", and a source assigned twice
+        # counted twice towards its worker's load
+        for name, (topology, message) in REFUSED.items():
+            with pytest.raises(TopologyError) as refused:
+                family_from_topology(topology)
+            assert str(refused.value) == message, name
+
     def test_mist_family_offloads_to_peers(self):
         family = family_from_topology(build_topology(load_preset("mist")))
         assert set(family.options) == {"endpoint"}
@@ -239,6 +248,9 @@ class TestHeatmap:
             GridSpec(proc_max=math.inf)
         with pytest.raises(ValueError):
             GridSpec(rate_steps=1)
+        for steps in ({"rate_steps": 2.5}, {"proc_steps": 21.0}):
+            with pytest.raises(ValueError, match="must be integers"):
+                GridSpec(**steps)
 
     def test_cell_count_is_bounded_before_anything_is_built(self):
         GridSpec(rate_steps=MAX_CELLS // 2, proc_steps=2)  # exactly at the bound

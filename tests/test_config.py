@@ -315,6 +315,9 @@ def changed(name, changes):
 @example("cloud", [(("latency", ("edge", "cloud")), (1.0, 0.0))])
 @example("mist", [(("latency", None), (10**400, 1.0))])
 @example("mist", [(("throughput", ("foo", "bar")), 1.0)])
+@example("cloud", [("devices_per_tier", (10**5000, 0, 40))])
+@example("cloud", [(("latency", None), (10**5000, 1.0))])
+@example("cloud", [("devices_per_tier", (10**4300 - 1, 0, 40))])
 def test_validate_is_total_and_honest(name, changes):
     """validate never raises, and a config it passes writes back as text
     that parses to it and builds a topology."""
@@ -322,6 +325,17 @@ def test_validate_is_total_and_honest(name, changes):
     if not errors_of(validate(config)):
         assert parse_config(render_config(config)) == config
         build_topology(config)
+
+
+def test_messages_show_an_int_too_long_for_repr_by_its_size():
+    config = replaced(load_preset("cloud"), devices_per_tier=(10**5000, 0, 40))
+    assert [d.message for d in validate(config)] == [
+        "device count for cloud must be a non-negative integer, got <int of 16610 bits>"]
+    # a 4,300-digit count, the longest int() reads from a file, makes a total of 4,301
+    four_thousand_three_hundred = int("9" * 4300)
+    config = replaced(load_preset("cloud"), devices_per_tier=(four_thousand_three_hundred, 0, 40))
+    first = errors_of(validate(config))[0]
+    assert first.message == "<int of 14285 bits> devices in all, more than the 1000000 a topology may have"
 
 
 class TestWorkerPlan:

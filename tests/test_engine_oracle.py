@@ -113,9 +113,8 @@ class TestDeclinedTopologies:
             devices=(Device("edge-0", "edge", 1, 1.0, "worker"),
                      Device("endpoint-0", "endpoint", 1, 0.5, "source"),
                      Device("endpoint-1", "endpoint", 1, 0.25, "source")),
-            links=(Link(tier_pair("edge", "endpoint"), 1.0, 0.0, 8.0),),
+            worker_link=Link(tier_pair("edge", "endpoint"), 1.0, 0.0, 8.0),
             assignment={"edge-0": ("endpoint-0", "endpoint-1")},
-            endpoints_per_worker=2,
         )
         workload = WorkloadProfile({"edge": 0.1}, 0.001, 5.0, 0.54)
         with pytest.raises(ValueError, match="preprocessing time"):
@@ -127,9 +126,8 @@ class TestDeclinedTopologies:
         topology = Topology(
             devices=(Device("endpoint-0", "endpoint", 1, 0.5, "worker"),
                      Device("endpoint-1", "endpoint", 1, 0.5, "source")),
-            links=(Link(tier_pair("endpoint", "endpoint"), 1.0, 0.0, 8.0),),
+            worker_link=Link(tier_pair("endpoint", "endpoint"), 1.0, 0.0, 8.0),
             assignment={"endpoint-0": ("endpoint-0", "endpoint-1")},
-            endpoints_per_worker=2,
         )
         with pytest.raises(ValueError, match="its own elements"):
             simulate(topology, WorkloadProfile({"endpoint": 0.1}, 0.0, 5.0, 0.5), SimParams(duration=1.0))

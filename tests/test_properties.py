@@ -31,6 +31,7 @@ from tierplan.config import (
     render_config,
     tier_pair,
     validate,
+    worker_plan,
 )
 from tierplan.simulator import SimParams, simulate
 from tierplan.topology import Device, Link, WorkloadProfile, build_topology, local_topology
@@ -238,6 +239,31 @@ class TestTopologyMatchesOracle:
     def test_edge_large_at_8000_endpoints(self):
         config = dataclasses.replace(load_preset("edge-large"), devices_per_tier=(1, 2000, 8000))
         assert build_topology(config) == oracle_build_topology(config)
+
+
+def assert_passes_check_with_the_planned_counts(config):
+    topology = build_topology(config)
+    topology.check()
+    per_worker = worker_plan(config).endpoints_per_worker
+    assert [len(topology.assignment[w.id]) for w in topology.workers] == [per_worker] * len(topology.workers)
+
+
+class TestBuiltTopologiesPassCheck:
+    """``build_topology`` makes only topologies ``Topology.check`` accepts,
+    each worker serving the plan's endpoint count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_configs())
+    def test_valid_configs(self, config):
+        assert_passes_check_with_the_planned_counts(config)
+
+    @pytest.mark.parametrize("name", ["cloud", "edge-large", "edge-small", "mist"])
+    def test_presets(self, name):
+        assert_passes_check_with_the_planned_counts(load_preset(name))
+
+    def test_edge_large_at_8000_endpoints(self):
+        config = dataclasses.replace(load_preset("edge-large"), devices_per_tier=(1, 2000, 8000))
+        assert_passes_check_with_the_planned_counts(config)
 
 
 PRESET_TOPOLOGIES = {name: build_topology(load_preset(name))

@@ -367,9 +367,8 @@ class TestParams:
     def test_topology_needs_workers(self):
         lonely = Topology(
             devices=(Device("endpoint-0", "endpoint", 1, 0.5, "source"),),
-            links=(),
+            worker_link=None,
             assignment={},
-            endpoints_per_worker=1,
         )
         with pytest.raises(ValueError, match="worker"):
             simulate(lonely, DEFAULT_WORKLOAD, SimParams(duration=1.0))

@@ -1,17 +1,24 @@
-"""Topology construction from configs and the workload profile."""
+"""Topology construction from configs, the topologies ``Topology.check``
+refuses, and the workload profile."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import signal
 import tracemalloc
 
 import jsonschema
 import pytest
 
-from tierplan.config import MAX_DEVICES, load_preset, parse_config, validate
+from tierplan.config import MAX_DEVICES, load_preset, parse_config, tier_pair, validate
+from tierplan.simulator import SimParams, simulate
 from tierplan.topology import (
     DEFAULT_WORKLOAD,
+    Device,
+    Link,
+    Topology,
     TopologyError,
     WorkloadProfile,
     build_topology,
@@ -30,7 +37,7 @@ class TestPresetTopologies:
         controllers = [d for d in topo.devices if d.role == "controller"]
         assert [d.id for d in controllers] == ["cloud-0"]
         assert len(topo.sources) == 40
-        assert topo.endpoints_per_worker == 4
+        assert {len(ids) for ids in topo.assignment.values()} == {4}
         assert topo.worker_link.tiers == ("cloud", "endpoint")
         assert topo.worker_link.latency_avg_ms == 45.0
 
@@ -40,14 +47,14 @@ class TestPresetTopologies:
         assert all(d.tier == "edge" for d in topo.workers)
         # the lone cloud device coordinates, it does not process
         assert [d.id for d in topo.devices if d.role == "controller"] == ["cloud-0"]
-        assert topo.endpoints_per_worker == 4
+        assert {len(ids) for ids in topo.assignment.values()} == {4}
         assert topo.worker_link.latency_avg_ms == 30.0
 
     def test_edge_small_preset(self):
         topo = build_topology(load_preset("edge-small"))
         assert len(topo.workers) == 10
         assert len(topo.sources) == 20
-        assert topo.endpoints_per_worker == 2
+        assert {len(ids) for ids in topo.assignment.values()} == {2}
         worker = topo.workers[0]
         assert worker.cores == 2 and worker.quota == 0.75
 
@@ -60,7 +67,7 @@ class TestPresetTopologies:
         # first half by id are the peers that process
         assert {d.id for d in workers} == {f"endpoint-{i}" for i in range(10)}
         assert {d.id for d in sources} == {f"endpoint-{i}" for i in range(10, 20)}
-        assert topo.endpoints_per_worker == 1
+        assert {len(ids) for ids in topo.assignment.values()} == {1}
 
     def test_round_robin_assignment(self):
         topo = build_topology(load_preset("edge-small"))
@@ -143,6 +150,99 @@ class TestOneValidationPath:
         assert peak < 64 * 1024  # one device takes about 250 bytes
 
 
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed, so that
+    an input that makes the engine loop fails a test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+WORKER = Device("edge-0", "edge", 2, 0.75, "worker")
+SOURCES = (Device("endpoint-0", "endpoint", 1, 0.5, "source"), Device("endpoint-1", "endpoint", 1, 0.5, "source"))
+EDGE_LINK = Link(tier_pair("edge", "endpoint"), 7.5, 5.0, 8.0)
+
+
+def hand_built(worker: Device = WORKER, source_quota: float = 0.5, link: Link | None = EDGE_LINK,
+               assignment: dict | None = None) -> Topology:
+    """One edge worker serving two endpoints, with one part changed."""
+    sources = tuple(dataclasses.replace(s, quota=source_quota) for s in SOURCES)
+    if assignment is None:
+        assignment = {worker.id: tuple(s.id for s in sources)}
+    return Topology((worker, *sources), link, assignment)
+
+
+def with_link(latency_avg_ms: float = 7.5, latency_sd_ms: float = 5.0, throughput_mbit: float = 8.0) -> Topology:
+    return hand_built(link=Link(EDGE_LINK.tiers, latency_avg_ms, latency_sd_ms, throughput_mbit))
+
+
+# one topology per refusal of Topology.check, with the message it gives
+REFUSED = {
+    "no workers": (Topology(SOURCES, EDGE_LINK, {}), "topology has no workers"),
+    "0 cores": (hand_built(dataclasses.replace(WORKER, cores=0)),
+                "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 0, quota 0.75"),
+    "2.5 cores": (hand_built(dataclasses.replace(WORKER, cores=2.5)),
+                  "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2.5, quota 0.75"),
+    "worker quota 0": (hand_built(dataclasses.replace(WORKER, quota=0.0)),
+                       "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota 0.0"),
+    "worker quota nan": (hand_built(dataclasses.replace(WORKER, quota=math.nan)),
+                         "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota nan"),
+    "key not a worker": (hand_built(assignment={"endpoint-0": ("endpoint-1",)}),
+                         "sources are assigned to endpoint-0, which is not a worker"),
+    "source not a device": (hand_built(assignment={"edge-0": ("endpoint-0", "endpoint-9")}),
+                            "source endpoint-9 is not a device"),
+    "source assigned twice": (hand_built(assignment={"edge-0": ("endpoint-0", "endpoint-1", "endpoint-0")}),
+                              "source endpoint-0 is assigned twice"),
+    "worker serves itself and others": (hand_built(assignment={"edge-0": ("endpoint-0", "edge-0")}),
+                                        "worker edge-0 processes its own elements and other sources' too"),
+    "source quota 0": (hand_built(source_quota=0.0),
+                       "source endpoint-0 offloads with a quota outside (0, 1], got 0.0"),
+    "source quota 1.5": (hand_built(source_quota=1.5),
+                         "source endpoint-0 offloads with a quota outside (0, 1], got 1.5"),
+    "no link": (hand_built(link=None), "source endpoint-0 offloads to edge-0 but the topology has no link"),
+    "NaN latency": (with_link(latency_avg_ms=math.nan),
+                    "latency for edge_to_endpoint must be finite and non-negative, got nan,5.0"),
+    "-1e6 ms latency, sd 1": (with_link(latency_avg_ms=-1e6, latency_sd_ms=1.0),
+                              "latency for edge_to_endpoint must be finite and non-negative, got -1000000.0,1.0"),
+    "-1 ms latency": (with_link(latency_avg_ms=-1.0, latency_sd_ms=0.0),
+                      "latency for edge_to_endpoint must be finite and non-negative, got -1.0,0.0"),
+    "infinite sd": (with_link(latency_sd_ms=math.inf),
+                    "latency for edge_to_endpoint must be finite and non-negative, got 7.5,inf"),
+    "throughput 0": (with_link(throughput_mbit=0.0),
+                     "throughput for edge_to_endpoint must be finite and positive, got 0.0"),
+    "infinite throughput": (with_link(throughput_mbit=math.inf),
+                            "throughput for edge_to_endpoint must be finite and positive, got inf"),
+}
+
+
+class TestCheck:
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_names_the_fault(self, name):
+        topology, message = REFUSED[name]
+        with pytest.raises(TopologyError) as refused:
+            topology.check()
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_simulate_refuses_within_a_second(self, name):
+        topology, message = REFUSED[name]
+        with time_limit(1), pytest.raises(TopologyError) as refused:
+            simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=2.0))
+        assert str(refused.value) == message
+
+    def test_accepts_the_unchanged_parts(self):
+        for topology in (hand_built(), with_link(0.0, 0.0, 5e-324), local_topology(2)):
+            assert topology.check() is None
+
+
 def test_local_topology_is_self_assigned():
     topo = local_topology(3)
     assert len(topo.devices) == 3
@@ -153,7 +253,15 @@ def test_local_topology_is_self_assigned():
         "endpoint-2": ("endpoint-2",),
     }
     assert topo.worker_link is None
-    assert topo.endpoints_per_worker == 1
+    assert {len(ids) for ids in topo.assignment.values()} == {1}
+
+
+def test_local_topology_refuses_what_check_refuses():
+    for count, message in ((0, "topology has no workers"), (2.5, "integer endpoint count, got 2.5")):
+        with pytest.raises(TopologyError, match=message):
+            local_topology(count)
+    with pytest.raises(TopologyError, match="needs integer cores >= 1 and a quota in"):
+        local_topology(2, quota=0.0)
 
 
 def test_build_is_deterministic():

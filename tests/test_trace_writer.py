@@ -29,7 +29,7 @@ def hand_built_topologies(draw):
     cores, quota = draw(st.integers(min_value=1, max_value=3)), draw(st.sampled_from([0.5, 1.0]))
     if draw(st.booleans()):  # local: every device is a worker assigned to itself
         devices = tuple(Device(name, "endpoint", cores, quota, "worker") for name in names)
-        return Topology(devices, (), {name: (name,) for name in names}, 1)
+        return Topology(devices, None, {name: (name,) for name in names})
     n_workers = draw(st.integers(min_value=1, max_value=len(names) - 1))
     workers, sources = names[:n_workers], names[n_workers:]
     link = Link(tier_pair("edge", "endpoint"), draw(st.sampled_from([0.0, 20.0])),
@@ -37,13 +37,13 @@ def hand_built_topologies(draw):
     devices = tuple(Device(name, "edge", cores, quota, "worker") for name in workers) + tuple(
         Device(name, "endpoint", 1, 0.5, "source") for name in sources)
     assignment = {w: tuple(sources[i::n_workers]) for i, w in enumerate(workers)}
-    return Topology(devices, (link,), assignment, len(sources))
+    return Topology(devices, link, assignment)
 
 
 ODD_SOURCES = ('say "hi"', "line\nbreak", "", " cr\r")
 ODD_IDS = Topology(
     (Device("a,b", "edge", 1, 1.0, "worker"), *(Device(i, "endpoint", 1, 0.5, "source") for i in ODD_SOURCES)),
-    (Link(tier_pair("edge", "endpoint"), 20.0, 30.0, 8.0),), {"a,b": ODD_SOURCES}, len(ODD_SOURCES))
+    Link(tier_pair("edge", "endpoint"), 20.0, 30.0, 8.0), {"a,b": ODD_SOURCES})
 
 # processing and preprocessing times of -0.0 put -0.0 and 0.0 in one column
 signed_zero_workloads = st.builds(

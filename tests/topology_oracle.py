@@ -5,7 +5,9 @@ topologies.
 
 The body is kept verbatim except that the per-tier values, which the config
 once served through ``devices(tier)``, ``cores(tier)`` and ``quota(tier)``,
-are read from its tuples here.
+are read from its tuples here, and that the ``Topology`` it returns has the
+three fields that class has now (the worker link itself, not a tuple of
+links, and no endpoint count beside the assignment).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ def build_topology(config: DeploymentConfig) -> Topology:
 
     return Topology(
         devices=tuple(devices),
-        links=(Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),),
+        worker_link=Link(plan.link, *config.latency[plan.link], config.throughput[plan.link]),
         assignment={wid: tuple(ids) for wid, ids in assignment.items()},
-        endpoints_per_worker=plan.endpoints_per_worker,
     )
