@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .config import load_preset
 from .topology import (
@@ -84,25 +85,33 @@ class Verdict:
         }
 
 
-def _verdict(checks: list[ConditionCheck], load: float, data_rate: float) -> Verdict:
+def _viability(workload: WorkloadProfile, endpoint: Device, worker: Device, endpoints_per_worker: int,
+               link: Link | None) -> Verdict:
+    """Can ``worker`` process the elements of ``endpoints_per_worker``
+    endpoints like ``endpoint``?  The worker-capacity check is always made;
+    elements shipped over a link also need the preprocess and bandwidth
+    checks.  Local processing is the endpoint serving itself over no link."""
+    demand = demand_on_worker(workload, worker.tier, endpoints_per_worker)
+    capacity = capacity_of(worker)
+    data_rate = workload.data_rate
+    checks = [ConditionCheck(WORKER_CAPACITY, demand, capacity, demand <= capacity)]
+    if link is not None:
+        pre_demand = workload.pre_time * workload.rate
+        pre_capacity = capacity_of(endpoint)
+        checks += [
+            ConditionCheck(PREPROCESS_CAPACITY, pre_demand, pre_capacity, pre_demand <= pre_capacity),
+            ConditionCheck(BANDWIDTH, data_rate, link.throughput_mbit, data_rate <= link.throughput_mbit),
+        ]
     failed = tuple(check.name for check in checks if not check.passed)
-    return Verdict(
-        viable=not failed,
-        failed_conditions=failed,
-        load_percent=load,
-        required_bandwidth=data_rate,
-        checks=tuple(checks),
-    )
+    return Verdict(viable=not failed, failed_conditions=failed, load_percent=system_load(demand, capacity),
+                   required_bandwidth=data_rate, checks=tuple(checks))
 
 
 def local_viability(workload: WorkloadProfile, endpoint: Device) -> Verdict:
     """Can the endpoint process its own elements as fast as it makes them?
     No preprocessing and no network are involved; required_bandwidth is
     reported for information only."""
-    demand = workload.proc_on(endpoint.tier) * workload.rate
-    capacity = capacity_of(endpoint)
-    checks = [ConditionCheck(WORKER_CAPACITY, demand, capacity, demand <= capacity)]
-    return _verdict(checks, system_load(demand, capacity), workload.data_rate)
+    return _viability(workload, endpoint, endpoint, 1, None)
 
 
 def offload_viability(
@@ -115,17 +124,7 @@ def offload_viability(
     """Can ``target`` process the elements of ``endpoints_per_worker``
     endpoints shipped over ``link``?  All three conditions are always
     evaluated, so every failure is reported, not just the first."""
-    proc_demand = demand_on_worker(workload, target.tier, endpoints_per_worker)
-    proc_capacity = capacity_of(target)
-    pre_demand = workload.pre_time * workload.rate
-    pre_capacity = capacity_of(endpoint)
-    data_rate = workload.data_rate
-    checks = [
-        ConditionCheck(WORKER_CAPACITY, proc_demand, proc_capacity, proc_demand <= proc_capacity),
-        ConditionCheck(PREPROCESS_CAPACITY, pre_demand, pre_capacity, pre_demand <= pre_capacity),
-        ConditionCheck(BANDWIDTH, data_rate, link.throughput_mbit, data_rate <= link.throughput_mbit),
-    ]
-    return _verdict(checks, system_load(proc_demand, proc_capacity), data_rate)
+    return _viability(workload, endpoint, target, endpoints_per_worker, link)
 
 
 # ---------------------------------------------------------------------------
@@ -153,24 +152,27 @@ class DeploymentFamily:
     options: dict[str, OffloadOption] = field(default_factory=dict)
 
 
+def _placements(family: DeploymentFamily) -> Iterator[tuple[str, Device, int, Link | None]]:
+    """(label, worker, endpoints per worker, link) of every placement the
+    family defines, in ``PLACEMENTS`` order.  Without an "endpoint" option
+    the endpoint processes locally: it is its own worker, over no link."""
+    for placement in PLACEMENTS:
+        option = family.options.get(placement)
+        if option is not None:
+            yield placement, option.worker, option.endpoints_per_worker, option.link
+        elif placement == "endpoint":
+            yield placement, family.endpoint, 1, None
+
+
 def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:
     """First viable placement in ``PLACEMENTS`` order, or "not-viable".
 
     Placements the family defines no spec for are skipped, so restricted
     families (a single deployment, say) classify within their own options.
     """
-    for placement in PLACEMENTS:
-        option = family.options.get(placement)
-        if option is not None:
-            verdict = offload_viability(
-                workload, family.endpoint, option.worker, option.endpoints_per_worker, option.link
-            )
-        elif placement == "endpoint":
-            verdict = local_viability(workload, family.endpoint)
-        else:
-            continue
-        if verdict.viable:
-            return placement
+    for label, worker, endpoints_per_worker, link in _placements(family):
+        if _viability(workload, family.endpoint, worker, endpoints_per_worker, link).viable:
+            return label
     return NOT_VIABLE
 
 
@@ -299,22 +301,17 @@ def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily)
     procs = _linspace(spec.proc_max, spec.proc_steps)
     anchor = _anchor(workload)
 
-    endpoint = family.endpoint
-    pre_capacity = capacity_of(endpoint)
+    pre_capacity = capacity_of(family.endpoint)
     pre_fits = [workload.pre_time * rate <= pre_capacity for rate in rates]
+    everywhere = [True] * len(rates)  # no link: no rate-only condition
     # (label, unscaled seconds per element, endpoints per worker, capacity,
     # per-column result of the rate-only conditions), in PLACEMENTS order
-    placements = []
-    for placement in PLACEMENTS:
-        option = family.options.get(placement)
-        if option is not None:
-            throughput = option.link.throughput_mbit
-            fits = [pre and rate * workload.element_size <= throughput for pre, rate in zip(pre_fits, rates)]
-            placements.append((placement, workload.proc_on(option.worker.tier), option.endpoints_per_worker,
-                               capacity_of(option.worker), fits))
-        elif placement == "endpoint":
-            # local demand is proc * rate; times 1 leaves every float as it is
-            placements.append((placement, workload.proc_on(endpoint.tier), 1, pre_capacity, [True] * len(rates)))
+    placements = [
+        (label, workload.proc_on(worker.tier), endpoints_per_worker, capacity_of(worker),
+         everywhere if link is None else
+         [pre and rate * workload.element_size <= link.throughput_mbit for pre, rate in zip(pre_fits, rates)])
+        for label, worker, endpoints_per_worker, link in _placements(family)
+    ]
 
     cells = []
     for proc in procs:

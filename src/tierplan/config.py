@@ -578,16 +578,15 @@ def render_config(config: DeploymentConfig) -> str:
 # ---------------------------------------------------------------------------
 # presets
 
-PRESET_NAMES = ("cloud", "edge-large", "edge-small", "mist")
-
-
-def _preset_benchmark(resource_manager: str) -> BenchmarkConfig:
-    return BenchmarkConfig(
-        use_benchmark=True,
-        data_generation_frequency=5.0,
-        application="image_classification",
-        resource_manager=resource_manager,
-    )
+# name: devices, cores and quota per tier, the link to the workers, its
+# latency (average, sd in ms) and the resource manager
+_PRESETS = {
+    "cloud": ((11, 0, 40), (4, 0, 1), (1.0, 0.0, 0.5), ("cloud", "endpoint"), (45.0, 5.0), "kubernetes"),
+    "edge-large": ((1, 10, 40), (4, 4, 1), (1.0, 1.0, 0.5), ("edge", "endpoint"), (30.0, 5.0), "kubeedge"),
+    "edge-small": ((1, 10, 20), (4, 2, 1), (1.0, 0.75, 0.5), ("edge", "endpoint"), (7.5, 1.0), "kubeedge"),
+    "mist": ((0, 0, 20), (0, 0, 2), (0.0, 0.0, 0.5), ("endpoint", "endpoint"), (7.5, 1.0), "none"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def load_preset(name: str) -> DeploymentConfig:
@@ -605,40 +604,15 @@ def load_preset(name: str) -> DeploymentConfig:
     All presets use 8 Mbit/s endpoint-to-worker throughput and generate
     5 elements per second per endpoint.
     """
-    if name == "cloud":
-        return DeploymentConfig(
-            devices_per_tier=(11, 0, 40),
-            cores_per_device=(4, 0, 1),
-            quota_per_cpu=(1.0, 0.0, 0.5),
-            latency={("cloud", "endpoint"): (45.0, 5.0)},
-            throughput={("cloud", "endpoint"): 8.0},
-            benchmark=_preset_benchmark("kubernetes"),
-        )
-    if name == "edge-large":
-        return DeploymentConfig(
-            devices_per_tier=(1, 10, 40),
-            cores_per_device=(4, 4, 1),
-            quota_per_cpu=(1.0, 1.0, 0.5),
-            latency={("edge", "endpoint"): (30.0, 5.0)},
-            throughput={("edge", "endpoint"): 8.0},
-            benchmark=_preset_benchmark("kubeedge"),
-        )
-    if name == "edge-small":
-        return DeploymentConfig(
-            devices_per_tier=(1, 10, 20),
-            cores_per_device=(4, 2, 1),
-            quota_per_cpu=(1.0, 0.75, 0.5),
-            latency={("edge", "endpoint"): (7.5, 1.0)},
-            throughput={("edge", "endpoint"): 8.0},
-            benchmark=_preset_benchmark("kubeedge"),
-        )
-    if name == "mist":
-        return DeploymentConfig(
-            devices_per_tier=(0, 0, 20),
-            cores_per_device=(0, 0, 2),
-            quota_per_cpu=(0.0, 0.0, 0.5),
-            latency={("endpoint", "endpoint"): (7.5, 1.0)},
-            throughput={("endpoint", "endpoint"): 8.0},
-            benchmark=_preset_benchmark("none"),
-        )
-    raise ValueError(f"unknown preset {name!r}; choose from: {', '.join(PRESET_NAMES)}")
+    if name not in PRESET_NAMES:  # a tuple, so an unhashable name is refused too
+        raise ValueError(f"unknown preset {name!r}; choose from: {', '.join(PRESET_NAMES)}")
+    devices, cores, quota, link, latency, resource_manager = _PRESETS[name]
+    return DeploymentConfig(
+        devices_per_tier=devices,
+        cores_per_device=cores,
+        quota_per_cpu=quota,
+        latency={link: latency},
+        throughput={link: 8.0},
+        benchmark=BenchmarkConfig(use_benchmark=True, data_generation_frequency=5.0,
+                                  application="image_classification", resource_manager=resource_manager),
+    )

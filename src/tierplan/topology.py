@@ -10,6 +10,7 @@ itself.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -21,6 +22,12 @@ from .config import TIERS, DeploymentConfig, TierPair, pair_key, validate, worke
 
 class TopologyError(ValueError):
     """The config cannot be materialized into a topology."""
+
+
+def _is_number(value) -> bool:
+    """Whether the range checks can compare ``value``: an int or a float,
+    and so not a bool, as ``validate`` holds."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -69,13 +76,13 @@ class WorkloadProfile:
 
     def check(self) -> None:
         """Raise ValueError, naming the field, unless every processing
-        time, the preprocessing time, the rate and the element size is
-        finite and non-negative.  Not run at construction, because
+        time, the preprocessing time, the rate and the element size is a
+        finite and non-negative number.  Not run at construction, because
         ``classify_at`` scales profiles by factors that may overflow."""
         fields = [(f"proc_time[{tier!r}]", value) for tier, value in self.proc_time.items()]
         fields += [("pre_time", self.pre_time), ("rate", self.rate), ("element_size", self.element_size)]
         for name, value in fields:
-            if not 0 <= value < math.inf:
+            if not (_is_number(value) and 0 <= value < math.inf):
                 raise ValueError(f"workload {name} must be finite and non-negative, got {value!r}")
 
     def with_rate(self, rate: float) -> WorkloadProfile:
@@ -114,8 +121,7 @@ class Topology:
 
     @cached_property
     def _devices_by_id(self) -> dict[str, Device]:
-        # reversed, so a repeated id resolves to its first device
-        return {d.id: d for d in reversed(self.devices)}
+        return {d.id: d for d in self.devices}
 
     def device(self, device_id: str) -> Device:
         """The device with this id; KeyError if there is none."""
@@ -132,20 +138,26 @@ class Topology:
         return tuple(d for d in self.devices if d.id in assigned)
 
     def check(self) -> None:
-        """Raise TopologyError, naming the fault, unless the topology has a
-        worker; every worker has integer cores >= 1 and a quota in (0, 1];
-        every assignment key is a worker; every source is a device assigned
-        once; a worker that serves itself serves no other source; every
-        offloading source has a quota in (0, 1] and a link to cross; and
-        the link's latency average and sd are finite and >= 0 and its
-        throughput finite and > 0."""
+        """Raise TopologyError, naming the fault, unless no two devices share
+        an id; the topology has a worker; every worker has integer cores
+        >= 1 and a quota in (0, 1]; every assignment key is a worker; every
+        source is a device assigned once; a worker that serves itself serves
+        no other source; every offloading source has a quota in (0, 1] and a
+        link to cross; and the link's latency average and sd are finite and
+        >= 0 and its throughput finite and > 0.  Cores must be an int, and a
+        quota, latency or throughput an int or a float; a bool is neither."""
+        if len(self._devices_by_id) < len(self.devices):
+            ids = collections.Counter(d.id for d in self.devices)
+            raise TopologyError(f"device id {next(i for i, n in ids.items() if n > 1)} names more than one device")
         workers = {d.id: d for d in self.devices if d.role == "worker"}
         if not workers:
             raise TopologyError("topology has no workers")
         for worker in workers.values():
-            if not (isinstance(worker.cores, int) and worker.cores >= 1 and 0 < worker.quota <= 1):
+            cores, quota = worker.cores, worker.quota
+            if not (isinstance(cores, int) and _is_number(cores) and cores >= 1
+                    and _is_number(quota) and 0 < quota <= 1):
                 raise TopologyError(f"worker {worker.id} needs integer cores >= 1 and a quota in (0, 1], "
-                                    f"got cores {worker.cores!r}, quota {worker.quota!r}")
+                                    f"got cores {cores!r}, quota {quota!r}")
         assigned: set[str] = set()
         for worker_id, source_ids in self.assignment.items():
             if worker_id not in workers:
@@ -162,7 +174,7 @@ class Topology:
                         raise TopologyError(
                             f"worker {worker_id} processes its own elements and other sources' too")
                     continue
-                if not 0 < device.quota <= 1:
+                if not (_is_number(device.quota) and 0 < device.quota <= 1):
                     raise TopologyError(f"source {source_id} offloads with a quota outside (0, 1], "
                                         f"got {device.quota!r}")
                 if self.worker_link is None:
@@ -170,10 +182,10 @@ class Topology:
         link = self.worker_link
         if link is not None:
             name = pair_key(link.tiers)
-            if not (0 <= link.latency_avg_ms < math.inf and 0 <= link.latency_sd_ms < math.inf):
+            if not all(_is_number(ms) and 0 <= ms < math.inf for ms in (link.latency_avg_ms, link.latency_sd_ms)):
                 raise TopologyError(f"latency for {name} must be finite and non-negative, "
                                     f"got {link.latency_avg_ms!r},{link.latency_sd_ms!r}")
-            if not 0 < link.throughput_mbit < math.inf:
+            if not (_is_number(link.throughput_mbit) and 0 < link.throughput_mbit < math.inf):
                 raise TopologyError(f"throughput for {name} must be finite and positive, "
                                     f"got {link.throughput_mbit!r}")
 

@@ -12,6 +12,16 @@ generated at the warmup instant, 0.8 s here, moved out of
 ``backlog_at_warmup``, which halved on every preset (cloud and edge-large
 80 -> 40, edge-small 40 -> 20, mist 20 -> 10).  No other report field and
 no trace digest changed.
+
+``predict`` and ``heatmap`` are pinned the same way, by the sha256 of their
+``--json`` payload without its manifest: ``predict PRESET`` on every preset,
+``heatmap`` on the reference family and ``heatmap mist --resolution 51``,
+whose only option is a peer "endpoint" that replaces the local check.  The
+analytic model behind them has been rewritten more than once for less code;
+these digests hold every verdict and every grid cell to the bit, so such a
+rewrite cannot move a load, a failed condition or a class unnoticed.  They
+were recorded before the model's verdicts came from one builder and its
+placements from one walk.
 """
 
 from __future__ import annotations
@@ -34,14 +44,34 @@ GOLDEN = {
              "55fd36e8898214a32d7ab439f586a00fd8ac3762e3263f12e3363ae6030249b5"),
 }
 
+ANALYTIC_GOLDEN = {
+    ("predict", "cloud", "--json"): "ce37329358c0c6b31fd9f48f5ca910d93af390c0c8f741e426443cbadf0aa591",
+    ("predict", "edge-large", "--json"): "a2de783e3db14f8c1c47af829ddc5514a5819068283088e0f21dd4241dd44929",
+    ("predict", "edge-small", "--json"): "dd3f139c7e2b5fe779dc4fa2a166391c169bd68952196ef142a2c9c00aa56cc4",
+    ("predict", "mist", "--json"): "db78e0826b76944de0021a51de086193bfbeb9dd89cb39a88afd8dcf76b65c0d",
+    ("heatmap", "--json"): "c11fbd71e41a06a05764b57ccf860cd6a52361c37acf0f9aa8202569ace270d0",
+    ("heatmap", "mist", "--resolution", "51", "--json"):
+        "24ea090c6ac3471c731aa03c3ca6a64f0926f8c08738f3c69abbb593f68a14e0",
+}
+
+
+def _body_digest(out: str) -> str:
+    payload = json.loads(out)
+    body = {key: value for key, value in payload.items() if key != "manifest"}
+    return hashlib.sha256(json.dumps(body, indent=2, sort_keys=True).encode()).hexdigest()
+
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN))
 def test_simulate_output_is_unchanged(preset, capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     code = main(["simulate", preset, "--duration", "8", "--seed", "811", "--json", "--trace", str(trace)])
     assert code == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    body = {key: value for key, value in payload.items() if key != "manifest"}
-    report_digest = hashlib.sha256(json.dumps(body, indent=2, sort_keys=True).encode()).hexdigest()
+    report_digest = _body_digest(capsys.readouterr().out)
     trace_digest = hashlib.sha256(trace.read_bytes().partition(b"\n")[2]).hexdigest()
     assert (report_digest, trace_digest) == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("argv", sorted(ANALYTIC_GOLDEN), ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "--json"))
+def test_analytic_output_is_unchanged(argv, capsys):
+    assert main(list(argv)) == EXIT_OK
+    assert _body_digest(capsys.readouterr().out) == ANALYTIC_GOLDEN[argv]

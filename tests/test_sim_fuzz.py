@@ -4,8 +4,9 @@ latencies are non-negative.
 
 Hypothesis builds ``Device``s, a ``Link``, a ``Topology`` and ``SimParams``
 directly, not from a config: usable values mixed with NaN, infinities,
-negatives, zero, a fractional core count, and assignments that name no
-device, a device twice, a source as a worker or a worker beside other
+negatives, zero, values that are not numbers (a string, None, a bool), a
+fractional core count, two devices with one id, and assignments that name
+no device, a device twice, a source as a worker or a worker beside other
 sources.  Usable values stay in ranges where loads cannot overflow to
 infinity (a quota of 5e-324, say), which ``simulate`` reports as it is and
 the CLI refuses as documented.  Every example runs under a ``signal.alarm``
@@ -26,7 +27,7 @@ from tierplan.simulator import SimParams, simulate
 from tierplan.topology import Device, Link, Topology, WorkloadProfile
 
 finite = dict(allow_nan=False, allow_infinity=False)
-ODD = (math.nan, math.inf, -math.inf, -1.0, -1e6, 0.0)  # refused, except 0 for a latency
+ODD = (math.nan, math.inf, -math.inf, -1.0, -1e6, 0.0, "1", None)  # refused, except 0 for a latency
 
 
 def rarely(usable: st.SearchStrategy, odd: tuple) -> st.SearchStrategy:
@@ -39,7 +40,7 @@ def numbers(low: float, high: float, odd: tuple = ODD) -> st.SearchStrategy:
 
 
 quotas = numbers(0.05, 1.0, ODD + (1.5,))
-core_counts = rarely(st.sampled_from([1, 2, 4]), (0, -1, 2.5))
+core_counts = rarely(st.sampled_from([1, 2, 4]), (0, -1, 2.5, True))
 
 
 @st.composite
@@ -56,7 +57,7 @@ def topologies(draw) -> Topology:
                           "source") for i in range(draw(st.integers(min_value=1, max_value=4)))]
         devices = workers + sources
         assignment = {w.id: tuple(s.id for s in sources[i::n_workers]) for i, w in enumerate(workers)}
-    fault = draw(rarely(st.none(), ("ghost", "twice", "source key", "self and others")))
+    fault = draw(rarely(st.none(), ("ghost", "twice", "source key", "self and others", "repeated id")))
     w0 = workers[0].id
     if fault == "ghost":
         assignment[w0] += ("nowhere",)
@@ -66,6 +67,8 @@ def topologies(draw) -> Topology:
         assignment[devices[-1].id] = ()
     elif fault == "self and others" and len(devices) > 1:
         assignment[w0] = (w0, devices[1].id)
+    elif fault == "repeated id":  # a second device under the first worker's id
+        devices = devices + [dataclasses.replace(workers[0], cores=draw(core_counts), quota=draw(quotas))]
     link = draw(st.none() | st.builds(Link, st.just(tier_pair(tier, "endpoint")), numbers(0.0, 300.0),
                                       numbers(0.0, 100.0), numbers(0.5, 100.0, ODD + (5e-324,))))
     if not local and draw(st.integers(0, 9)):  # an offloading topology mostly has its link
@@ -83,7 +86,8 @@ params = st.builds(SimParams, st.floats(min_value=0.01, max_value=4.0, **finite)
 USUAL = WorkloadProfile(dict.fromkeys(TIERS, 0.14), 0.001, 5.0, 0.54)
 FOUR_SECONDS = SimParams(duration=4.0, seed=1)
 PINNED = ("NaN latency", "-1e6 ms latency, sd 1", "-1 ms latency", "worker quota 0", "source quota 0",
-          "throughput 0", "0 cores", "source assigned twice")
+          "throughput 0", "0 cores", "source assigned twice", "repeated device id", "source quota '0.5'",
+          "throughput None")
 
 
 def pinned(test):

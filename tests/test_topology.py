@@ -186,6 +186,10 @@ def with_link(latency_avg_ms: float = 7.5, latency_sd_ms: float = 5.0, throughpu
 
 # one topology per refusal of Topology.check, with the message it gives
 REFUSED = {
+    "repeated device id": (Topology((dataclasses.replace(WORKER, cores=4, quota=1.0),
+                                     dataclasses.replace(WORKER, cores=1, quota=0.5), *SOURCES),
+                                    EDGE_LINK, {"edge-0": ("endpoint-0", "endpoint-1")}),
+                           "device id edge-0 names more than one device"),
     "no workers": (Topology(SOURCES, EDGE_LINK, {}), "topology has no workers"),
     "0 cores": (hand_built(dataclasses.replace(WORKER, cores=0)),
                 "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 0, quota 0.75"),
@@ -195,6 +199,10 @@ REFUSED = {
                        "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota 0.0"),
     "worker quota nan": (hand_built(dataclasses.replace(WORKER, quota=math.nan)),
                          "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota nan"),
+    "worker quota '0.75'": (hand_built(dataclasses.replace(WORKER, quota="0.75")),
+                            "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota '0.75'"),
+    "True cores": (hand_built(dataclasses.replace(WORKER, cores=True)),
+                   "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores True, quota 0.75"),
     "key not a worker": (hand_built(assignment={"endpoint-0": ("endpoint-1",)}),
                          "sources are assigned to endpoint-0, which is not a worker"),
     "source not a device": (hand_built(assignment={"edge-0": ("endpoint-0", "endpoint-9")}),
@@ -207,6 +215,10 @@ REFUSED = {
                        "source endpoint-0 offloads with a quota outside (0, 1], got 0.0"),
     "source quota 1.5": (hand_built(source_quota=1.5),
                          "source endpoint-0 offloads with a quota outside (0, 1], got 1.5"),
+    "source quota '0.5'": (hand_built(source_quota="0.5"),
+                           "source endpoint-0 offloads with a quota outside (0, 1], got '0.5'"),
+    "source quota None": (hand_built(source_quota=None),
+                          "source endpoint-0 offloads with a quota outside (0, 1], got None"),
     "no link": (hand_built(link=None), "source endpoint-0 offloads to edge-0 but the topology has no link"),
     "NaN latency": (with_link(latency_avg_ms=math.nan),
                     "latency for edge_to_endpoint must be finite and non-negative, got nan,5.0"),
@@ -216,10 +228,14 @@ REFUSED = {
                       "latency for edge_to_endpoint must be finite and non-negative, got -1.0,0.0"),
     "infinite sd": (with_link(latency_sd_ms=math.inf),
                     "latency for edge_to_endpoint must be finite and non-negative, got 7.5,inf"),
+    "latency '1'": (with_link(latency_avg_ms="1"),
+                    "latency for edge_to_endpoint must be finite and non-negative, got '1',5.0"),
     "throughput 0": (with_link(throughput_mbit=0.0),
                      "throughput for edge_to_endpoint must be finite and positive, got 0.0"),
     "infinite throughput": (with_link(throughput_mbit=math.inf),
                             "throughput for edge_to_endpoint must be finite and positive, got inf"),
+    "throughput None": (with_link(throughput_mbit=None),
+                        "throughput for edge_to_endpoint must be finite and positive, got None"),
 }
 
 
@@ -318,6 +334,17 @@ class TestWorkloadProfile:
             with pytest.raises(ValueError) as refused:
                 workload.check()
             assert name in str(refused.value), value
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_check_refuses_a_value_that_is_not_a_number(self, field):
+        local = Topology((WORKER,), None, {"edge-0": ("edge-0",)})
+        for value in ("0.5", None, True, [0.5]):
+            workload, name = self._with(field, value)
+            message = f"workload {name} must be finite and non-negative, got {value!r}"
+            for refuse in (workload.check, lambda: simulate(local, workload, SimParams(duration=2.0))):
+                with pytest.raises(ValueError) as refused:
+                    refuse()
+                assert str(refused.value) == message
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_check_accepts_zero_and_large_values(self, field):
