@@ -20,6 +20,8 @@ from .topology import (
     Link,
     Topology,
     WorkloadProfile,
+    _is_int,
+    _is_number,
     build_topology,
     capacity_of,
     demand_on_worker,
@@ -223,11 +225,14 @@ class GridSpec:
     proc_steps: int = 21
 
     def __post_init__(self) -> None:
-        if not (0 < self.rate_max < math.inf and 0 < self.proc_max < math.inf):
-            raise ValueError(f"grid ranges must be positive and finite, got rate_max={self.rate_max}, proc_max={self.proc_max}")
-        if not (isinstance(self.rate_steps, int) and isinstance(self.proc_steps, int)):
-            raise ValueError(f"grid sample counts must be integers, got rate_steps={self.rate_steps!r}, "
-                             f"proc_steps={self.proc_steps!r}")
+        for name in ("rate_max", "proc_max"):
+            value = getattr(self, name)
+            if not (_is_number(value) and 0 < value < math.inf):
+                raise ValueError(f"grid ranges must be positive and finite, got {name}={value!r}")
+        for name in ("rate_steps", "proc_steps"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"grid sample counts must be integers, got {name}={value!r}")
         if self.rate_steps < 2 or self.proc_steps < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         if self.rate_steps * self.proc_steps > MAX_CELLS:

@@ -37,7 +37,8 @@ processes its own elements and other sources' too.
 
 Per-element results are kept as columns (one list per field); records are
 built only for ``SimReport.elements``, and ``write_trace_csv`` formats the
-columns a chunk of rounds at a time.  Each element carries five duration
+columns a chunk of rounds at a time, the second half of the chunks in a
+forked child where it can.  Each element carries five duration
 components (preprocess, transfer, propagation, queue wait, service);
 waiting for the endpoint CPU counts into preprocess and waiting for the
 link into transfer.  End-to-end latency is defined as the exact sum of the
@@ -50,13 +51,18 @@ import bisect
 import csv
 import io
 import itertools
+import marshal
 import math
+import os
 import random
+import tempfile
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import IO, Callable, Iterable, Iterator
 
-from .topology import Link, Topology, WorkloadProfile, capacity_of
+from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
 # Largest run simulate accepts, in elements: a run peaks at about 210 bytes
 # per element (see README, "Simulator model").
@@ -71,12 +77,12 @@ class SimParams:
     max_elements: int | None = None  # per-endpoint cap on generated elements
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0 and math.isfinite(self.duration)):
+        if not (_is_number(self.duration) and 0 < self.duration < math.inf):
             raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
-        if not 0 <= self.warmup_s < self.duration:
+        if not (_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration):
             raise ValueError(f"warmup must lie in [0, duration), got {self.warmup_s!r}")
-        if self.max_elements is not None and self.max_elements < 1:
-            raise ValueError(f"max_elements must be at least 1, got {self.max_elements!r}")
+        if self.max_elements is not None and not (_is_int(self.max_elements) and self.max_elements >= 1):
+            raise ValueError(f"max_elements must be an integer of at least 1, got {self.max_elements!r}")
 
     @property
     def warmup_s(self) -> float:
@@ -493,34 +499,87 @@ def _format_shared(values: list[float]) -> Iterable[str]:
     return map(table.__getitem__, values)
 
 
+def _format_rounds(columns: _Columns, prefixes: list[str], k0: int, k1: int) -> str:
+    """The trace rows of rounds ``k0`` up to ``k1``, each ended by ``\r\n``,
+    formatted column by column."""
+    n_sources = len(prefixes)
+    heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k1], k0)]
+    lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
+    pre, tx, prop, wait, svc = (column[lo:hi] for column in (
+        columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
+    ends = columns.completed[lo:hi]  # None exactly where the phase is not "done"
+    sums = map(add, map(add, map(add, map(add, pre, tx), prop), wait), svc)
+    total = ["" if end is None else repr(value) for value, end in zip(sums, ends)]
+    completed = ["" if end is None else repr(end) for end in ends]
+    rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],
+               _format_shared(pre), _format_shared(tx), map(repr, prop), map(repr, wait),
+               _format_shared(svc), total, completed, columns.phase[lo:hi])
+    return "\r\n".join([*map(",".join, rows), ""])
+
+
+def _may_fork() -> bool:
+    """Whether ``write_trace_csv`` may fork a second formatter: ``os.fork``
+    exists, this process may run on two CPUs or more, and no other thread
+    runs (the child would hold a copy of any lock another thread holds)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return cpus >= 2
+
+
 def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     """One CSV row per element, completed or not, in generation order; the
     end-to-end latency is empty for elements that did not complete.
 
     The bytes are those ``csv.writer`` writes with its default dialect
     (floats by ``repr``, ``None`` empty, ``\r\n`` line ends).  Rows are
-    formatted column by column, in chunks of whole rounds of about
+    formatted by ``_format_rounds`` in chunks of whole rounds of about
     ``_TRACE_CHUNK_ROWS`` rows; the ``source,worker`` cells of a rank and the
     ``index,generated_s`` cells of a round are formatted once, and so is each
-    distinct preprocess, transfer and service time of a chunk."""
+    distinct preprocess, transfer and service time of a chunk.
+
+    A trace of two chunks or more, where ``_may_fork`` allows, is formatted
+    by two processes: a forked child formats the second half of the chunks
+    into an unlinked temporary file while this process formats and writes
+    the first half, then copies the child's chunks to ``stream``.  Each
+    process holds one chunk at a time.  Raises ``OSError`` if the child
+    fails; the child is reaped on every path."""
     columns = report.columns
     stream.write(",".join(_TRACE_COLUMNS) + "\r\n")
     if not columns.sources:
         return
     prefixes = _csv_prefixes(columns.sources)
-    n_sources = len(prefixes)
-    chunk = max(1, _TRACE_CHUNK_ROWS // n_sources)  # rounds per chunk
-    for k0 in range(0, len(columns.generated), chunk):
-        heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k0 + chunk], k0)]
-        lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
-        pre, tx, prop, wait, svc = (column[lo:hi] for column in (
-            columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
-        phase = columns.phase[lo:hi]
-        total = [repr(a + b + c + d + e) if p == "done" else ""
-                 for a, b, c, d, e, p in zip(pre, tx, prop, wait, svc, phase)]
-        completed = ["" if end is None else repr(end) for end in columns.completed[lo:hi]]
-        rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],
-                   _format_shared(pre), _format_shared(tx), map(repr, prop), map(repr, wait),
-                   _format_shared(svc), total, completed, phase)
-        stream.write("\r\n".join(map(",".join, rows)))
-        stream.write("\r\n")
+    chunk = max(1, _TRACE_CHUNK_ROWS // len(prefixes))  # rounds per chunk
+    starts = range(0, len(columns.generated), chunk)
+    if len(starts) < 2 or not _may_fork():
+        for k0 in starts:
+            stream.write(_format_rounds(columns, prefixes, k0, k0 + chunk))
+        return
+    half = len(starts) // 2
+    with tempfile.TemporaryFile() as spool:
+        pid = os.fork()
+        if pid == 0:  # the child: leaves through os._exit on every path
+            status = 1
+            try:
+                for k0 in starts[half:]:
+                    marshal.dump(_format_rounds(columns, prefixes, k0, k0 + chunk), spool)
+                spool.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            for k0 in starts[:half]:
+                stream.write(_format_rounds(columns, prefixes, k0, k0 + chunk))
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)  # its chunks would not be written
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError(f"the process formatting the second half of the trace exited with {code}")
+        spool.seek(0)
+        for _ in starts[half:]:
+            stream.write(marshal.load(spool))

@@ -30,6 +30,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int, and so not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Device:
     id: str
@@ -154,8 +159,7 @@ class Topology:
             raise TopologyError("topology has no workers")
         for worker in workers.values():
             cores, quota = worker.cores, worker.quota
-            if not (isinstance(cores, int) and _is_number(cores) and cores >= 1
-                    and _is_number(quota) and 0 < quota <= 1):
+            if not (_is_int(cores) and cores >= 1 and _is_number(quota) and 0 < quota <= 1):
                 raise TopologyError(f"worker {worker.id} needs integer cores >= 1 and a quota in (0, 1], "
                                     f"got cores {cores!r}, quota {quota!r}")
         assigned: set[str] = set()

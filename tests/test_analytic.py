@@ -252,6 +252,22 @@ class TestHeatmap:
             with pytest.raises(ValueError, match="must be integers"):
                 GridSpec(**steps)
 
+    # a range that is not an int or a float (a bool being neither), or a
+    # sample count that is not an int, is refused by name
+    @pytest.mark.parametrize("fields, name", [
+        ({"rate_max": "10"}, "rate_max"),
+        ({"rate_max": None}, "rate_max"),
+        ({"proc_max": True}, "proc_max"),
+        ({"rate_steps": True}, "rate_steps"),
+        ({"proc_steps": "21"}, "proc_steps"),
+    ])
+    def test_grid_spec_field_of_the_wrong_type_is_refused(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**fields)
+
+    def test_grid_spec_takes_int_ranges(self):
+        assert GridSpec(rate_max=10, proc_max=1).rate_max == 10
+
     def test_cell_count_is_bounded_before_anything_is_built(self):
         GridSpec(rate_steps=MAX_CELLS // 2, proc_steps=2)  # exactly at the bound
         tracemalloc.start()

@@ -331,6 +331,25 @@ class TestParams:
         with pytest.raises(ValueError):
             simulate(local_topology(1), DEFAULT_WORKLOAD, SimParams(duration=5.0, warmup=5.0))
 
+    # a field that is not an int or a float (a bool being neither), or a
+    # count that is not an int, is refused by name before anything runs
+    @pytest.mark.parametrize("fields, name", [
+        ({"duration": "4"}, "duration"),
+        ({"duration": None}, "duration"),
+        ({"duration": True}, "duration"),
+        ({"duration": 4.0, "warmup": "1"}, "warmup"),
+        ({"duration": 4.0, "warmup": True}, "warmup"),
+        ({"duration": 4.0, "max_elements": 2.5}, "max_elements"),
+        ({"duration": 4.0, "max_elements": True}, "max_elements"),
+    ])
+    def test_field_of_the_wrong_type_is_refused(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            SimParams(**fields)
+
+    def test_int_duration_and_warmup_run(self):
+        report = simulate(local_topology(1), DEFAULT_WORKLOAD, SimParams(duration=4, warmup=1, max_elements=3))
+        assert report.generated == 3
+
     def test_default_warmup_is_ten_percent(self):
         assert SimParams(duration=40.0).warmup_s == 4.0
         assert SimParams(duration=40.0, warmup=1.0).warmup_s == 1.0

@@ -1,10 +1,14 @@
 """The column-wise trace CSV writer against the ``csv.writer`` one it
-replaced (``tests/trace_oracle.py``), byte for byte, and its memory bound."""
+replaced (``tests/trace_oracle.py``), byte for byte, through the forked
+and the in-process path, and its memory bound."""
 
 from __future__ import annotations
 
 import io
+import os
 import random
+import tempfile
+import threading
 import tracemalloc
 
 import pytest
@@ -12,6 +16,8 @@ import trace_oracle as oracle
 from hypothesis import example, given, settings, strategies as st
 from test_engine_oracle import run_params, topologies, workloads
 
+from tierplan import simulator
+from tierplan.cli import EXIT_IO, main
 from tierplan.config import load_preset, tier_pair
 from tierplan.simulator import SimParams, _truncated_normal, simulate, write_trace_csv
 from tierplan.topology import DEFAULT_WORKLOAD, Device, Link, Topology, WorkloadProfile, build_topology
@@ -80,9 +86,7 @@ class TestMatchesCsvWriter:
         SimParams(duration=30.0, warmup=0.0, seed=7, max_elements=40),
     ], ids=["default", "warmup-0-capped"])
     def test_presets(self, name, params):
-        # 0.16 s at the edge overloads edge-small, so queues and backlog grow
-        workload = WorkloadProfile({"cloud": 0.14, "edge": 0.16, "endpoint": 0.11}, 0.001, 5.0, 0.54)
-        assert_same_bytes(build_topology(load_preset(name)), workload, params)
+        assert_same_bytes(build_topology(load_preset(name)), OVERLOAD, params)
 
     def test_rate_zero_writes_the_header_only(self):
         report = assert_same_bytes(build_topology(load_preset("cloud")), DEFAULT_WORKLOAD.with_rate(0.0),
@@ -96,6 +100,116 @@ class TestMatchesCsvWriter:
         workload = WorkloadProfile({"edge": -0.0}, 0.0, 5.0, 0.54)
         report = assert_same_bytes(build_topology(load_preset("edge-small")), workload, SimParams(duration=2.0))
         assert {repr(r.service) for r in report.elements} == {"0.0", "-0.0"}
+
+
+# 0.16 s at the edge overloads edge-small, so queues and backlog grow
+OVERLOAD = WorkloadProfile({"cloud": 0.14, "edge": 0.16, "endpoint": 0.11}, 0.001, 5.0, 0.54)
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Every fork write_trace_csv makes, counted, with two CPUs on any
+    machine and the temporary directory in ``tmp_path / "spool"``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (tmp_path / "spool").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "spool"))
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def fail_in_the_child(monkeypatch):
+    """Make the chunk formatter raise in any process but this one."""
+    parent, format_rounds = os.getpid(), simulator._format_rounds
+
+    def formatter(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed")
+        return format_rounds(*args)
+
+    monkeypatch.setattr(simulator, "_format_rounds", formatter)
+
+
+def assert_no_child_left(tmp_path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list((tmp_path / "spool").iterdir()) == []
+
+
+class TestSplitAcrossTwoProcesses:
+    """A trace of two chunks or more is formatted half in a forked child,
+    half in process, and either way writes the oracle's bytes."""
+
+    @pytest.mark.parametrize("path", ["fork", "in-process"])
+    def test_several_chunks_match_the_oracle(self, path, forks, monkeypatch, tmp_path):
+        if path == "in-process":
+            monkeypatch.delattr(os, "fork")
+        # 500 rounds of 20 endpoints: five chunks of 100 rounds
+        assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0, seed=4))
+        assert len(forks) == (path == "fork")
+        assert_no_child_left(tmp_path)
+
+    def test_one_chunk_is_formatted_in_process(self, forks):
+        assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=10.0, seed=4))
+        assert forks == []
+
+    def test_odd_ids_survive_the_child(self, forks):
+        sources = (*ODD_SOURCES, "lone \ud800 surrogate")
+        topology = Topology(
+            (Device("a,b", "edge", 1, 1.0, "worker"), *(Device(i, "endpoint", 1, 0.5, "source") for i in sources)),
+            Link(tier_pair("edge", "endpoint"), 20.0, 30.0, 8.0), {"a,b": sources})
+        # 1,001 rounds of 5 endpoints: three chunks of 400 rounds
+        assert_same_bytes(topology, WorkloadProfile({"edge": 0.3}, 0.001, 5.0, 0.54),
+                          SimParams(duration=200.0, seed=5))
+        assert len(forks) == 1
+
+    def test_child_failure_raises_oserror_and_leaves_nothing(self, forks, monkeypatch, tmp_path):
+        fail_in_the_child(monkeypatch)
+        report = simulate(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0))
+        with pytest.raises(OSError, match="exited with 1"):
+            write_trace_csv(report, io.StringIO(newline=""))
+        assert len(forks) == 1
+        assert_no_child_left(tmp_path)
+
+    def test_child_failure_exits_with_the_io_code(self, forks, monkeypatch, tmp_path, capsys):
+        fail_in_the_child(monkeypatch)
+        code = main(["simulate", "edge-small", "--duration", "100", "--tproc", "edge=0.16",
+                     "--trace", str(tmp_path / "trace.csv")])
+        assert code == EXIT_IO
+        assert "cannot write" in capsys.readouterr().err
+        assert len(forks) == 1
+        assert_no_child_left(tmp_path)
+
+    def test_stream_failure_reaps_the_child(self, forks, tmp_path):
+        report = simulate(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0))
+
+        class Full:
+            def write(self, text):
+                if text.startswith("source,"):
+                    return len(text)
+                raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            write_trace_csv(report, Full())
+        assert len(forks) == 1
+        assert_no_child_left(tmp_path)
+
+    def test_second_thread_keeps_the_formatting_in_process(self, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0))
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert forks == []
 
 
 class _Sink:
