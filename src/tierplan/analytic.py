@@ -166,12 +166,36 @@ def _placements(family: DeploymentFamily) -> Iterator[tuple[str, Device, int, Li
             yield placement, family.endpoint, 1, None
 
 
+def _check_family(family: DeploymentFamily) -> None:
+    """Raise ValueError, naming the field, unless the endpoint and every
+    placement's worker have integer cores >= 1 and a non-negative quota,
+    every placement serves an integer count >= 1 of endpoints, and every
+    link has a non-negative throughput.  The type predicates are
+    ``Topology.check``'s (a bool is neither an int nor a number, and NaN
+    is not >= 0); the ranges are the model's, which gives a defined class
+    for a quota or throughput of 0 (nothing fits), above 1 or infinite."""
+    for label, worker, endpoints_per_worker, link in _placements(family):
+        for name, device in (("endpoint", family.endpoint), (f"{label} worker", worker)):
+            cores, quota = device.cores, device.quota
+            if not (_is_int(cores) and cores >= 1 and _is_number(quota) and quota >= 0):
+                raise ValueError(f"{name} needs integer cores >= 1 and a non-negative quota, "
+                                 f"got cores {cores!r}, quota {quota!r}")
+        if not (_is_int(endpoints_per_worker) and endpoints_per_worker >= 1):
+            raise ValueError(f"{label} endpoints_per_worker must be an integer of at least 1, "
+                             f"got {endpoints_per_worker!r}")
+        if link is not None and not (_is_number(link.throughput_mbit) and link.throughput_mbit >= 0):
+            raise ValueError(f"{label} link throughput must be a non-negative number, "
+                             f"got {link.throughput_mbit!r}")
+
+
 def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:
     """First viable placement in ``PLACEMENTS`` order, or "not-viable".
 
     Placements the family defines no spec for are skipped, so restricted
     families (a single deployment, say) classify within their own options.
+    Raises ValueError for a family that ``_check_family`` refuses.
     """
+    _check_family(family)
     for label, worker, endpoints_per_worker, link in _placements(family):
         if _viability(workload, family.endpoint, worker, endpoints_per_worker, link).viable:
             return label
@@ -300,8 +324,10 @@ def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily)
     that depend on the rate alone once per column and the scaled processing
     times once per row.  Unlike ``classify_at``, a tier the family offers
     with no processing time in ``workload`` is rejected up front, even where
-    an earlier placement would have been viable.
+    an earlier placement would have been viable.  The family is checked
+    once, as ``classify`` checks it.
     """
+    _check_family(family)
     rates = _linspace(spec.rate_max, spec.rate_steps)
     procs = _linspace(spec.proc_max, spec.proc_steps)
     anchor = _anchor(workload)

@@ -35,8 +35,10 @@ shared timelines, so ``simulate`` rejects two topologies that
 preprocessing times, and (through ``Topology.check``) a worker that
 processes its own elements and other sources' too.
 
-Per-element results are kept as columns (one list per field); records are
-built only for ``SimReport.elements``, and ``write_trace_csv`` formats the
+Per-element results are kept as columns (one ``array('d')`` per duration
+and for the completion time, NaN where an element is not done, and one
+``bytearray`` of indices into ``PHASES``); records are built only for
+``SimReport.elements``, and ``write_trace_csv`` formats the
 columns a chunk of rounds at a time, the second half of the chunks in a
 forked child where it can.  Each element carries five duration
 components (preprocess, transfer, propagation, queue wait, service);
@@ -57,14 +59,15 @@ import os
 import random
 import tempfile
 import threading
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
-from typing import IO, Callable, Iterable, Iterator
+from operator import add, lt
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
-# Largest run simulate accepts, in elements: a run peaks at about 210 bytes
+# Largest run simulate accepts, in elements: a run peaks at about 70 bytes
 # per element (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 
@@ -83,6 +86,8 @@ class SimParams:
             raise ValueError(f"warmup must lie in [0, duration), got {self.warmup_s!r}")
         if self.max_elements is not None and not (_is_int(self.max_elements) and self.max_elements >= 1):
             raise ValueError(f"max_elements must be an integer of at least 1, got {self.max_elements!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def warmup_s(self) -> float:
@@ -109,6 +114,8 @@ class ElementRecord:
 
 
 PHASES = ("preprocess", "transfer", "transit", "queued", "service", "done")
+_TRANSFER, _TRANSIT, _QUEUED, _SERVICE, _DONE = range(1, 6)  # indices into PHASES
+_IS_DONE = bytes(code == _DONE for code in range(256))  # bytearray.translate table: 1 for done, else 0
 
 _TRACE_COLUMNS = (
     "source", "worker", "index", "generated_s", "preprocess_s", "transfer_s",
@@ -124,18 +131,19 @@ class _Columns:
 
     sources: list[tuple[str, str]]   # (source id, worker id) by rank
     generated: list[float]           # per round
-    preprocess: list[float]
-    transfer: list[float]
-    propagation: list[float]
-    queue_wait: list[float]
-    service: list[float]
-    completed: list[float | None]
-    phase: list[str]
+    preprocess: array                # array('d') per element, as the next four
+    transfer: array
+    propagation: array
+    queue_wait: array
+    service: array
+    completed: array                 # NaN where the element is not done
+    phase: bytearray                 # index into PHASES
 
     def rows(self) -> Iterator[tuple]:
         """ElementRecord fields of every element, in generation order."""
+        ends = (end if code == _DONE else None for end, code in zip(self.completed, self.phase))
         values = zip(self.preprocess, self.transfer, self.propagation, self.queue_wait,
-                     self.service, self.completed, self.phase)
+                     self.service, ends, map(PHASES.__getitem__, self.phase))
         for index, generated in enumerate(self.generated):
             for source, worker in self.sources:
                 yield (source, worker, index, generated, *next(values))
@@ -253,7 +261,7 @@ def _truncated_normal(uniform: Callable[[], float], mu: float, sigma: float, cou
     return values
 
 
-def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_s: float, link: Link,
+def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: float, link: Link,
              workload: WorkloadProfile, duration: float, seed: int) -> None:
     """Endpoint CPU, link and propagation of the offloaded sources' elements:
     record their stage times and phases and set their arrival times."""
@@ -272,13 +280,14 @@ def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_
             break
         sent.append(x)
     n_pre, n_sent = len(prepared) * n_sources, len(sent) * n_sources
-    pre_values = [d - gk for d, gk in zip(prepared, g)]
-    transfer_values = [x - d for x, d in zip(sent, prepared)]
+    pre_values = array("d", [d - gk for d, gk in zip(prepared, g)])
+    transfer_values = array("d", [x - d for x, d in zip(sent, prepared)])
+    transferring, in_transit = bytes([_TRANSFER]) * len(prepared), bytes([_TRANSIT]) * len(sent)
     for rank in offloaded:
         columns.preprocess[rank:n_pre:n_sources] = pre_values
-        columns.phase[rank:n_pre:n_sources] = ["transfer"] * len(prepared)
+        columns.phase[rank:n_pre:n_sources] = transferring
         columns.transfer[rank:n_sent:n_sources] = transfer_values
-        columns.phase[rank:n_sent:n_sources] = ["transit"] * len(sent)
+        columns.phase[rank:n_sent:n_sources] = in_transit
 
     avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
     uniform = random.Random(seed).random
@@ -291,7 +300,7 @@ def _offload(columns: _Columns, arrival: list[float], offloaded: list[int], pre_
             arrival[base + rank] = x + value
 
 
-def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int, s: float,
+def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: float,
            duration: float, warmup: float) -> tuple[int, float]:
     """Pass one worker's arrivals, in ``order``, through its cores; record
     each element's wait, service, completion and phase.  Returns the number
@@ -311,15 +320,15 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
                 start = free
         starts.append(start)
         if start > duration:
-            phase[e] = "queued"
+            phase[e] = _QUEUED
             continue
         queue_wait[e] = start - a
         end = start + s
         if end > duration:
-            phase[e] = "service"
+            phase[e] = _SERVICE
             in_service.append(start)
             continue
-        phase[e] = "done"
+        phase[e] = _DONE
         service[e] = s
         completed[e] = end
         overlap = end - max(start, warmup)
@@ -332,9 +341,9 @@ def _serve(columns: _Columns, order: list[int], arrival: list[float], cores: int
     return count, busy
 
 
-def mean(values: list[float]) -> float | None:
-    """The mean of the values as ``statistics.fmean`` computes it, None for
-    none.  Where the sum of the finite values overflows,
+def mean(values: Sequence[float]) -> float | None:
+    """The mean of a sequence of floats as ``statistics.fmean`` computes
+    it, None for none.  Where the sum of the finite values overflows,
     ``statistics.mean``, which sums exactly, so the mean stays finite."""
     if not values:
         return None
@@ -346,9 +355,9 @@ def mean(values: list[float]) -> float | None:
         return statistics.mean(values)
 
 
-def stdev(values: list[float]) -> float:
-    """``statistics.stdev`` of two or more floats, the same float, from
-    integer sums instead of ``Fraction``s.
+def stdev(values: Sequence[float]) -> float:
+    """``statistics.stdev`` of a sequence of two or more floats, the same
+    float, from integer sums instead of ``Fraction``s.
 
     Every value times 2**k is an integer, with k set by the smallest
     non-zero magnitude, so the sums are exact and the sample variance is
@@ -416,9 +425,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
 
     g = _generation_times(rate, duration, params.max_elements) if n_sources else []
     n = len(g) * n_sources
-    columns = _Columns(sources, g, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n,
-                       [None] * n, ["preprocess"] * n)
-    arrival = [math.inf] * n
+    columns = _Columns(sources, g, *(array("d", [0.0]) * n for _ in range(5)), array("d", [math.nan]) * n,
+                       bytearray(n))
+    arrival = array("d", [math.inf]) * n
     offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
     if offloaded:
         _offload(columns, arrival, offloaded, pre_s, topology.worker_link, workload, duration, params.seed)
@@ -427,7 +436,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     busy_s: dict[str, float] = {}
     for worker_id, assigned in ranks.items():
         if sources[assigned[0]][0] == worker_id:
-            arrival[assigned[0]::n_sources] = g  # its own elements arrive as generated
+            arrival[assigned[0]::n_sources] = array("d", g)  # its own elements arrive as generated
         order = [base + rank for base in range(0, n, n_sources) for rank in assigned
                  if arrival[base + rank] <= duration]
         order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
@@ -436,17 +445,23 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     del arrival
 
     window = duration - warmup
-    completed = columns.completed
-    done = [e for e, end in enumerate(completed) if end is not None]
+    phase_counts = {p: columns.phase.count(code) for code, p in enumerate(PHASES)}
     warming = bisect.bisect_left(g, warmup) * n_sources  # elements generated before warmup
-    sample = done[bisect.bisect_left(done, warming):]
-    pre, transfer, propagation = columns.preprocess, columns.transfer, columns.propagation
-    queue_wait, service = columns.queue_wait, columns.service
-    latencies = [pre[e] + transfer[e] + propagation[e] + queue_wait[e] + service[e] for e in sample]
+    # an element completes after it is generated, so only those generated
+    # before warmup can complete before it; NaN compares false
+    completed_early = sum(map(lt, memoryview(columns.completed)[:warming], itertools.repeat(warmup)))
+    completed_in_window = phase_counts["done"] - completed_early
+
+    # the measured elements: done, and generated from warmup on
+    measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
+    pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in (
+        columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
+    latencies = array("d", itertools.compress(
+        map(add, map(add, map(add, map(add, pre, transfer), propagation), queue_wait), service), measured))
     latency_mean_s = mean(latencies)
     latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
-    del latencies  # freed before the component means build their lists
-    completed_in_window = sum(1 for e in done if completed[e] >= warmup)
+    n_measured = len(latencies)
+    del latencies  # freed before the component means build theirs
 
     worker_load: dict[str, float] = {}
     worker_busy: dict[str, float] = {}
@@ -458,19 +473,19 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     return SimReport(
         params=params,
         generated=n,
-        completed=len(done),
-        measured=len(sample),
+        completed=phase_counts["done"],
+        measured=n_measured,
         latency_mean_s=latency_mean_s,
         latency_sd_s=latency_sd_s,
-        communication_mean_s=mean([transfer[e] + propagation[e] for e in sample]),
-        compute_mean_s=mean([pre[e] + service[e] for e in sample]),
-        queueing_mean_s=mean([queue_wait[e] for e in sample]),
+        communication_mean_s=mean(array("d", itertools.compress(map(add, transfer, propagation), measured))),
+        compute_mean_s=mean(array("d", itertools.compress(map(add, pre, service), measured))),
+        queueing_mean_s=mean(array("d", itertools.compress(queue_wait, measured))),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,
-        backlog=n - len(done),
-        backlog_at_warmup=warming - (len(done) - completed_in_window),
-        phase_counts={p: columns.phase.count(p) for p in PHASES},
+        backlog=n - phase_counts["done"],
+        backlog_at_warmup=warming - completed_early,
+        phase_counts=phase_counts,
         columns=columns,
     )
 
@@ -505,15 +520,15 @@ def _format_rounds(columns: _Columns, prefixes: list[str], k0: int, k1: int) -> 
     n_sources = len(prefixes)
     heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k1], k0)]
     lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
-    pre, tx, prop, wait, svc = (column[lo:hi] for column in (
+    pre, tx, prop, wait, svc = (column[lo:hi].tolist() for column in (
         columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
-    ends = columns.completed[lo:hi]  # None exactly where the phase is not "done"
+    codes = columns.phase[lo:hi]
     sums = map(add, map(add, map(add, map(add, pre, tx), prop), wait), svc)
-    total = ["" if end is None else repr(value) for value, end in zip(sums, ends)]
-    completed = ["" if end is None else repr(end) for end in ends]
+    total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]
+    completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completed[lo:hi], codes)]
     rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],
                _format_shared(pre), _format_shared(tx), map(repr, prop), map(repr, wait),
-               _format_shared(svc), total, completed, columns.phase[lo:hi])
+               _format_shared(svc), total, completed, map(PHASES.__getitem__, codes))
     return "\r\n".join([*map(",".join, rows), ""])
 
 

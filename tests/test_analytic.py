@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from test_topology import REFUSED
@@ -205,6 +206,65 @@ class TestClassify:
         )
         # locally 110% but a full peer core makes 55%
         assert classify(DEFAULT_WORKLOAD, family) == "endpoint"
+
+
+def _with(endpoint=ENDPOINT, worker=SMALL_EDGE, endpoints=4, throughput=8.0) -> DeploymentFamily:
+    """The edge family of ``ENDPOINT`` with one field replaced."""
+    link = Link(LINK_8MBIT.tiers, LINK_8MBIT.latency_avg_ms, LINK_8MBIT.latency_sd_ms, throughput)
+    return DeploymentFamily(endpoint=endpoint, options={"edge": OffloadOption(worker, endpoints, link)})
+
+
+class TestHandBuiltFamily:
+    """A family that is not a number where the model reads one is refused by
+    name, once per call, by ``classify``, ``classify_at`` and ``heatmap``:
+    a quota of "0.5" raised TypeError and a NaN quota was "not-viable"."""
+
+    # one row per refusal: (family, words of the message)
+    REFUSED = {
+        "text endpoint quota": (_with(endpoint=replace(ENDPOINT, quota="0.5")), "endpoint needs"),
+        "NaN endpoint quota": (_with(endpoint=replace(ENDPOINT, quota=math.nan)), "endpoint needs"),
+        "None worker quota": (_with(worker=replace(SMALL_EDGE, quota=None)), "edge worker needs"),
+        "negative worker quota": (_with(worker=replace(SMALL_EDGE, quota=-0.5)), "edge worker needs"),
+        "bool worker quota": (_with(worker=replace(SMALL_EDGE, quota=True)), "edge worker needs"),
+        "zero worker cores": (_with(worker=replace(SMALL_EDGE, cores=0)), "edge worker needs"),
+        "float endpoint cores": (_with(endpoint=replace(ENDPOINT, cores=1.0)), "endpoint needs"),
+        "zero endpoints per worker": (_with(endpoints=0), "edge endpoints_per_worker"),
+        "float endpoints per worker": (_with(endpoints=4.0), "edge endpoints_per_worker"),
+        "bool endpoints per worker": (_with(endpoints=True), "edge endpoints_per_worker"),
+        "NaN throughput": (_with(throughput=math.nan), "edge link throughput"),
+        "text throughput": (_with(throughput="8"), "edge link throughput"),
+        "negative throughput": (_with(throughput=-8.0), "edge link throughput"),
+    }
+
+    @pytest.mark.parametrize("name", REFUSED)
+    def test_names_the_field(self, name):
+        family, words = self.REFUSED[name]
+        calls = (lambda: classify(DEFAULT_WORKLOAD, family),
+                 lambda: classify_at(DEFAULT_WORKLOAD, family, 5.0, 0.11),
+                 lambda: heatmap(GridSpec(rate_steps=3, proc_steps=3), DEFAULT_WORKLOAD, family))
+        for call in calls:
+            with pytest.raises(ValueError, match=words):
+                call()
+
+    def test_the_model_domain_passes(self):
+        # a quota or throughput of 0 fits nothing, a quota above 1 is more
+        # than the cores and an infinite one fits everything: each is a
+        # defined class, as the model gives it
+        assert classify(DEFAULT_WORKLOAD, _with(throughput=0.0)) == NOT_VIABLE
+        assert classify(DEFAULT_WORKLOAD, _with(worker=replace(SMALL_EDGE, quota=0.0))) == NOT_VIABLE
+        assert classify(DEFAULT_WORKLOAD, _with(endpoint=replace(ENDPOINT, quota=2.0))) == "endpoint"
+        assert classify(DEFAULT_WORKLOAD, _with(endpoint=replace(ENDPOINT, quota=0.1),
+                                                worker=replace(SMALL_EDGE, quota=math.inf))) == "edge"
+
+    def test_checked_once_per_call(self, monkeypatch):
+        from tierplan import analytic
+
+        checks = []
+        check = analytic._check_family
+        monkeypatch.setattr(analytic, "_check_family", lambda family: checks.append(1) or check(family))
+        heatmap(GridSpec(rate_steps=9, proc_steps=9), DEFAULT_WORKLOAD, reference_family())
+        classify_at(DEFAULT_WORKLOAD, reference_family(), 5.0, 0.11)
+        assert len(checks) == 2
 
 
 class TestFamilyFromTopology:

@@ -361,6 +361,9 @@ def tied_cases(draw):
         "bandwidth": rate * workload.element_size,
     }
     tie = draw(st.sampled_from(sorted(demand)))
+    # 0 x inf makes a NaN demand, which ties nothing and, as a quota or a
+    # throughput, is refused by name
+    assume(not math.isnan(demand[tie]))
 
     def capacity(*conditions):
         return demand[tie] if tie in conditions else draw(nonnegative)

@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import io
 import statistics
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -303,13 +305,16 @@ class TestStatistics:
     @example([1e300, 5e-324])  # 2**k * 1e300 overflows: the statistics.stdev fallback
     @example([1.7e308, -1.7e308])  # a spread beyond the float range
     def test_stdev_is_bit_for_bit_statistics_stdev(self, values):
-        assert _outcome(stdev, values) == _outcome(statistics.stdev, values)
+        expected = _outcome(statistics.stdev, values)
+        assert _outcome(stdev, values) == expected
+        assert _outcome(stdev, array("d", values)) == expected  # as simulate passes them
 
     def test_stdev_falls_back_where_scaled_values_overflow(self, monkeypatch):
         calls = []
         monkeypatch.setattr(statistics, "stdev", lambda values: calls.append(values) or 1.0)
         assert stdev([0.1, 0.2, 0.3]) != 1.0 and calls == []
         assert stdev([1e300, 5e-324]) == 1.0 and calls == [[1e300, 5e-324]]
+        assert stdev(array("d", [1e300, 5e-324])) == 1.0 and calls[1] == array("d", [1e300, 5e-324])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
@@ -320,6 +325,7 @@ class TestStatistics:
         except OverflowError:
             expected = statistics.mean(values)
         assert mean(values).hex() == expected.hex()
+        assert mean(array("d", values)).hex() == expected.hex()  # as simulate passes them
 
 
 class TestParams:
@@ -332,7 +338,9 @@ class TestParams:
             simulate(local_topology(1), DEFAULT_WORKLOAD, SimParams(duration=5.0, warmup=5.0))
 
     # a field that is not an int or a float (a bool being neither), or a
-    # count that is not an int, is refused by name before anything runs
+    # count or seed that is not an int, is refused by name before anything
+    # runs: a seed of None ran from an OS-random seed, and [1] raised
+    # TypeError
     @pytest.mark.parametrize("fields, name", [
         ({"duration": "4"}, "duration"),
         ({"duration": None}, "duration"),
@@ -341,6 +349,11 @@ class TestParams:
         ({"duration": 4.0, "warmup": True}, "warmup"),
         ({"duration": 4.0, "max_elements": 2.5}, "max_elements"),
         ({"duration": 4.0, "max_elements": True}, "max_elements"),
+        ({"duration": 4.0, "seed": None}, "seed"),
+        ({"duration": 4.0, "seed": "x"}, "seed"),
+        ({"duration": 4.0, "seed": 1.5}, "seed"),
+        ({"duration": 4.0, "seed": True}, "seed"),
+        ({"duration": 4.0, "seed": [1]}, "seed"),
     ])
     def test_field_of_the_wrong_type_is_refused(self, fields, name):
         with pytest.raises(ValueError, match=name):
@@ -403,6 +416,21 @@ class TestParams:
                           SimParams(duration=5.0))
         assert report.generated == 0
         assert report.latency_mean_s is None
+
+
+def test_columns_stay_small_per_element():
+    """The per-element columns are typed arrays: simulating 80,040 elements
+    peaks under 100 bytes per element, and the report keeps under 64."""
+    topology = build_topology(load_preset("cloud"))
+    tracemalloc.start()
+    try:
+        report = simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=400.0, seed=1))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.generated == 80_040
+    assert peak / report.generated < 100
+    assert retained / report.generated < 64
 
 
 class TestTrace:
