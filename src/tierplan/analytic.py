@@ -36,7 +36,7 @@ PLACEMENTS = ("endpoint", "edge", "cloud")
 NOT_VIABLE = "not-viable"
 
 # Largest grid a GridSpec accepts, in cells: heatmap --json peaks at about
-# 120 bytes per cell (see README, "CLI reference").
+# 40 bytes per cell (see README, "CLI reference").
 MAX_CELLS = 1_000_000
 
 
@@ -215,7 +215,9 @@ def family_from_topology(topology: Topology) -> DeploymentFamily:
     link = topology.worker_link
     if link is None:
         return DeploymentFamily(endpoint=endpoint)
-    worker = topology.workers[0]
+    # the first worker that serves a source: workers[0] in every topology
+    # build_topology makes
+    worker = next(w for w in topology.workers if topology.assignment.get(w.id))
     option = OffloadOption(worker, len(topology.assignment[worker.id]), link)
     return DeploymentFamily(endpoint=endpoint, options={worker.tier: option})
 

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .config import (
@@ -145,13 +145,42 @@ def _emit(args, body: str) -> int:
     return EXIT_OK
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False).encode
+
+
+def _holds_rows(value) -> bool:
+    """A non-empty list of lists, or a str-keyed dict with one below it."""
+    if isinstance(value, dict):
+        return any(map(_holds_rows, value.values())) and all(isinstance(key, str) for key in value)
+    return isinstance(value, list) and bool(value) and all(isinstance(row, list) for row in value)
+
+
+def _pieces(value) -> Iterator[str]:
+    """``_encode(value)`` in pieces: a list of lists one inner list at a
+    time, a dict above one key by key, anything else whole."""
+    if not _holds_rows(value):
+        yield _encode(value)
+    elif isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _encode(key) + ":"
+            yield from _pieces(value[key])
+        yield "}"
+    else:
+        for i, row in enumerate(value):
+            yield "," if i else "["
+            yield from _pieces(row)
+        yield "]"
+
+
 def _json_body(payload: dict) -> str:
-    """The payload as compact JSON, which ``json``'s C encoder writes (an
-    indent would switch it to the pure-Python one).  JSON has no infinity
-    or NaN, so a result that holds one is refused with exit 2 instead of
-    written as ``Infinity``."""
+    """The payload as compact JSON, then a newline, from ``json``'s C
+    encoder (an indent would switch it to the pure-Python one).  That
+    encoder holds a string per list item until it joins them, so a
+    heatmap's rows are encoded one at a time and the pieces joined once.
+    JSON has no infinity or NaN, so a result that holds one is refused with
+    exit 2 instead of written as ``Infinity``."""
     try:
-        return json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+        return "".join([*_pieces(payload), "\n"])
     except ValueError:
         raise CliError(EXIT_ARGUMENT, "the inputs give a result that is not finite, "
                                       "which JSON cannot hold; use smaller values") from None

@@ -355,6 +355,18 @@ def mean(values: Sequence[float]) -> float | None:
         return statistics.mean(values)
 
 
+def _measured_mean(values: Callable[[], Iterable[float]], measured: Iterable[int], n: int) -> float | None:
+    """``mean`` of the ``n`` of ``values()`` that ``measured`` keeps, the
+    same float, summed straight from the iterator; the values are built
+    only where that sum overflows."""
+    if not n:
+        return None
+    try:
+        return math.fsum(itertools.compress(values(), measured)) / n
+    except OverflowError:
+        return mean(array("d", itertools.compress(values(), measured)))
+
+
 def stdev(values: Sequence[float]) -> float:
     """``statistics.stdev`` of a sequence of two or more floats, the same
     float, from integer sums instead of ``Fraction``s.
@@ -461,7 +473,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     latency_mean_s = mean(latencies)
     latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
     n_measured = len(latencies)
-    del latencies  # freed before the component means build theirs
+    del latencies  # freed before a component mean that overflows rebuilds its values
 
     worker_load: dict[str, float] = {}
     worker_busy: dict[str, float] = {}
@@ -477,9 +489,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         measured=n_measured,
         latency_mean_s=latency_mean_s,
         latency_sd_s=latency_sd_s,
-        communication_mean_s=mean(array("d", itertools.compress(map(add, transfer, propagation), measured))),
-        compute_mean_s=mean(array("d", itertools.compress(map(add, pre, service), measured))),
-        queueing_mean_s=mean(array("d", itertools.compress(queue_wait, measured))),
+        communication_mean_s=_measured_mean(lambda: map(add, transfer, propagation), measured, n_measured),
+        compute_mean_s=_measured_mean(lambda: map(add, pre, service), measured, n_measured),
+        queueing_mean_s=_measured_mean(lambda: queue_wait, measured, n_measured),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,

@@ -35,7 +35,15 @@ from tierplan.analytic import (
     system_load,
 )
 from tierplan.config import load_preset
-from tierplan.topology import DEFAULT_WORKLOAD, Device, Link, TopologyError, WorkloadProfile, build_topology
+from tierplan.topology import (
+    DEFAULT_WORKLOAD,
+    Device,
+    Link,
+    Topology,
+    TopologyError,
+    WorkloadProfile,
+    build_topology,
+)
 
 EXACT = 1e-9
 
@@ -285,6 +293,18 @@ class TestFamilyFromTopology:
                 family_from_topology(topology)
             assert str(refused.value) == message, name
 
+    @pytest.mark.parametrize("assignment", [
+        {"edge-1": ("endpoint-0",)},
+        {"edge-0": (), "edge-1": ("endpoint-0",)},
+    ])
+    def test_option_worker_is_the_first_that_serves_a_source(self, assignment):
+        # a topology that check() passes, whose first worker serves no
+        # source: its family raised KeyError: 'edge-0'
+        topology = Topology((SMALL_EDGE, replace(SMALL_EDGE, id="edge-1"), ENDPOINT), LINK_8MBIT, assignment)
+        topology.check()
+        option = family_from_topology(topology).options["edge"]
+        assert (option.worker.id, option.endpoints_per_worker) == ("edge-1", 1)
+
     def test_mist_family_offloads_to_peers(self):
         family = family_from_topology(build_topology(load_preset("mist")))
         assert set(family.options) == {"endpoint"}
@@ -338,7 +358,7 @@ class TestHeatmap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024  # one cell takes about 120 bytes in heatmap --json
+        assert peak < 64 * 1024  # one cell takes about 40 bytes in heatmap --json
 
     def test_grid_shape_and_axes(self):
         spec = GridSpec(rate_max=10.0, proc_max=0.5, rate_steps=5, proc_steps=3)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tierplan
 from tierplan import cli, simulator
@@ -197,7 +198,22 @@ class TestHeatmap:
             tracemalloc.stop()
         assert (code, out) == (EXIT_ARGUMENT, "")
         assert "cells" in err
-        assert peak < 1024 * 1024  # the grid would take about 120 MB
+        assert peak < 1024 * 1024  # the grid would take about 40 MB
+
+    def test_json_peak_per_cell_is_bounded(self, capsys):
+        # the encoder held a string per label of all 40,401 cells at once,
+        # about 108 bytes per cell at its peak; row by row it is about 42
+        argv = ["heatmap", "--json", "--resolution", "201"]
+        run(capsys, *argv)  # warm-up: imports and first-use caches
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["grid"]["cells"]) == 201
+        assert peak / 201**2 < 60
 
     def test_unusable_tproc_is_an_argument_error(self, capsys):
         # inf is not a number JSON can carry; 0 leaves the grid without an anchor
@@ -460,6 +476,35 @@ class TestCompare:
                            "--repeats", "2", "--duration", "4")
         assert payload["manifest"]["seed"] == 100
         assert payload["manifest"]["parameters"]["repeats"] == 2
+
+
+# JSON trees with str keys, non-ASCII ones included, and every float,
+# non-finite ones included; lists of lists are drawn on purpose, since
+# _json_body encodes those one inner list at a time
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(st.lists(children, max_size=4), max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), _JSON_TREES, max_size=4))
+@example({"grid": {"cells": [["edge", "cloud"], ["edge", float("nan")]], "rates_hz": [0.0]}, "é": [[]]})
+@example({"cells": [["edge"], []], "load": float("inf")})
+@example({"cells": [[1.5], [-0.0]], "ö": {}, "o": [], "grid": {"cells": [[[1], [2]], [[float("-inf")]]]}})
+@example({"grid": {1: [["edge"]], 0: [[]]}})  # json writes int keys as strings
+def test_json_body_is_json_dumps(payload):
+    try:
+        expected = json.dumps(payload, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite float somewhere
+        with pytest.raises(cli.CliError) as refused:
+            cli._json_body(payload)
+        assert refused.value.code == EXIT_ARGUMENT
+    else:
+        assert cli._json_body(payload) == expected
 
 
 def test_topology_errors_exit_with_the_config_code(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import statistics
 import tracemalloc
 from array import array
@@ -16,6 +17,7 @@ from tierplan.config import parse_config
 from tierplan.simulator import (
     PHASES,
     SimParams,
+    _measured_mean,
     mean,
     simulate,
     stdev,
@@ -326,6 +328,17 @@ class TestStatistics:
             expected = statistics.mean(values)
         assert mean(values).hex() == expected.hex()
         assert mean(array("d", values)).hex() == expected.hex()  # as simulate passes them
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.booleans()), max_size=40))
+    @example([(1e308, True), (1.0, False), (1e308, True)])  # fsum overflows: the values are rebuilt
+    def test_measured_mean_is_the_mean_of_the_kept_values(self, pairs):
+        values = array("d", (value for value, _ in pairs))
+        keep = bytearray(kept for _, kept in pairs)
+        kept = array("d", itertools.compress(values, keep))
+        # memoryviews over the columns, as simulate passes them
+        measured_mean = _measured_mean(lambda: memoryview(values), memoryview(keep), len(kept))
+        assert repr(measured_mean) == repr(mean(kept))
 
 
 class TestParams:
