@@ -1,7 +1,7 @@
 """Simulation of the streaming pipeline, one stage at a time.
 
-Every element follows generate -> preprocess (endpoint, one core, FIFO) ->
-transfer (dedicated per-endpoint link: serialization plus sampled one-way
+Every element follows generate -> preprocess (FIFO on the endpoint's cores)
+-> transfer (dedicated per-endpoint link: serialization plus sampled one-way
 propagation) -> worker FIFO queue -> service on one of the worker's cores.
 Self-assigned endpoints process their own elements and skip the
 preprocessing and network stages entirely.
@@ -16,15 +16,16 @@ time, so each stage's times follow in closed form from the stage before
 
 - Generation: every source emits at 0.0 and then every ``interval`` (the
   interval added up in sequence), one timeline ``g_k`` for all sources.
-- Endpoint CPU and link: every offloaded source has the same preprocessing
-  and serialization time, so one recursion serves them all:
-  ``d_k = max(g_k, d_{k-1}) + pre_s`` and ``x_k = max(d_k, x_{k-1}) + ser_s``.
+- Every queue is a FIFO with ``c`` servers and service time ``s``, whose
+  arrivals start at ``start_i = max(a_i, start_{i-c} + s)`` and finish at
+  ``start_i + s`` (``_fifo``): the endpoint CPU on ``g_k`` with the
+  endpoint's cores and ``pre_s``, which every offloaded source shares, so
+  one recursion serves them all; the link on the preprocessed times with
+  ``c = 1`` and ``ser_s``; and each worker on its arrivals sorted by
+  arrival time, ties in transmit order, with its cores and ``proc/quota``.
 - Propagation: delays are drawn from one seeded ``random.Random`` in
   transmit order: round ``k`` first, then the source's rank in sorted id
   order.  Only elements transmitted by the end of the run draw.
-- Worker with ``c`` cores and service time ``s``: arrivals sorted by
-  arrival time, ties in transmit order, start at
-  ``start_i = max(a_i, start_{i-c} + s)`` and finish at ``start_i + s``.
 
 A stage counts as reached when its time is at most the duration; the last
 stage reached is the element's phase.  These are the float operations, and
@@ -32,8 +33,8 @@ the tie order, of an event loop ordered by (time, insertion sequence), which
 the test suite keeps as a differential oracle.  The recursions need the
 shared timelines, so ``simulate`` rejects two topologies that
 ``build_topology`` never makes: offloaded sources with different
-preprocessing times, and (through ``Topology.check``) a worker that
-processes its own elements and other sources' too.
+preprocessing times or endpoint cores, and (through ``Topology.check``) a
+worker that processes its own elements and other sources' too.
 
 Per-element results are kept as columns (one ``array('d')`` per duration
 and for the completion time, NaN where an element is not done, and one
@@ -67,7 +68,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
-# Largest run simulate accepts, in elements: a run peaks at about 70 bytes
+# Largest run simulate accepts, in elements: a run peaks at about 66 bytes
 # per element (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 
@@ -222,20 +223,22 @@ def _generation_times(rate: float, duration: float, max_elements: int | None) ->
     return times
 
 
-def _assign(topology: Topology,
-            workload: WorkloadProfile) -> tuple[list[tuple[str, str]], dict[str, list[int]], float]:
+def _assign(topology: Topology, workload: WorkloadProfile
+            ) -> tuple[list[tuple[str, str]], dict[str, list[int]], tuple[float, int]]:
     """Sources by rank as (source id, worker id), each worker's source ranks,
-    and the preprocessing time all offloaded sources share."""
+    and the preprocessing time and endpoint cores all offloaded sources
+    share.  Without preprocessing the cores do not matter and count as 1."""
     sources = sorted((source_id, worker_id) for worker_id, assigned in topology.assignment.items()
                      for source_id in assigned)
-    pre_times = {workload.pre_time / topology.device(source_id).quota
-                 for source_id, worker_id in sources if source_id != worker_id}
-    if len(pre_times) > 1:
-        raise ValueError("offloaded sources must share one preprocessing time (same endpoint quota)")
+    offloading = [topology.device(source_id) for source_id, worker_id in sources if source_id != worker_id]
+    endpoint_cpus = {(workload.pre_time / d.quota, d.cores if workload.pre_time else 1) for d in offloading}
+    if len(endpoint_cpus) > 1:
+        raise ValueError("offloaded sources must share one preprocessing time and core count "
+                         "(same endpoint quota and cores)")
     ranks: dict[str, list[int]] = {}
     for rank, (_, worker_id) in enumerate(sources):
         ranks.setdefault(worker_id, []).append(rank)
-    return sources, ranks, pre_times.pop() if pre_times else 0.0
+    return sources, ranks, endpoint_cpus.pop() if endpoint_cpus else (0.0, 1)
 
 
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # as random.NV_MAGICCONST
@@ -261,24 +264,31 @@ def _truncated_normal(uniform: Callable[[], float], mu: float, sigma: float, cou
     return values
 
 
-def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: float, link: Link,
+def _fifo(arrivals: Sequence[float], cores: int, s: float, duration: float) -> list[float]:
+    """Start times of a ``cores``-server FIFO with service time ``s``, in
+    arrival order, for ``arrivals`` that never decrease:
+    ``start_i = max(a_i, start_{i-cores} + s)``.  Starts never decrease
+    either, so the list ends before the first start after ``duration``."""
+    starts = [a for a in arrivals[:cores] if a <= duration]
+    for a, earlier in zip(arrivals[cores:], starts):
+        free = earlier + s
+        if free > a:
+            a = free
+        if a > duration:
+            break
+        starts.append(a)
+    return starts
+
+
+def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: float, cores: int, link: Link,
              workload: WorkloadProfile, duration: float, seed: int) -> None:
     """Endpoint CPU, link and propagation of the offloaded sources' elements:
     record their stage times and phases and set their arrival times."""
     g, n_sources = columns.generated, len(columns.sources)
     ser_s = workload.element_size / link.throughput_mbit
-    prepared, sent = [], []
-    d = x = 0.0
-    for gk in g:
-        d = max(gk, d) + pre_s
-        if d > duration:
-            break
-        prepared.append(d)
-    for d in prepared:
-        x = max(d, x) + ser_s
-        if x > duration:
-            break
-        sent.append(x)
+    # the finish times within the run: endpoint CPU on the endpoint's cores, then the link
+    prepared = [d for d in (start + pre_s for start in _fifo(g, cores, pre_s, duration)) if d <= duration]
+    sent = [x for x in (start + ser_s for start in _fifo(prepared, 1, ser_s, duration)) if x <= duration]
     n_pre, n_sent = len(prepared) * n_sources, len(sent) * n_sources
     pre_values = array("d", [d - gk for d, gk in zip(prepared, g)])
     transfer_values = array("d", [x - d for x, d in zip(sent, prepared)])
@@ -306,39 +316,26 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
     each element's wait, service, completion and phase.  Returns the number
     of arrivals from warmup on and the core-seconds spent after warmup."""
     phase, queue_wait, service, completed = columns.phase, columns.queue_wait, columns.service, columns.completed
-    starts: list[float] = []
-    in_service: list[float] = []
-    count, busy = 0, 0.0
-    for i, e in enumerate(order):
-        a = arrival[e]
-        if a >= warmup:
-            count += 1
-        start = a
-        if i >= cores:
-            free = starts[i - cores] + s
-            if free > a:
-                start = free
-        starts.append(start)
-        if start > duration:
-            phase[e] = _QUEUED
-            continue
+    arrivals = list(map(arrival.__getitem__, order))
+    starts = _fifo(arrivals, cores, s, duration)
+    busy = 0.0
+    # finishes never decrease, so the elements done come first, then those in service
+    for e, a, start in zip(order, arrivals, starts):
         queue_wait[e] = start - a
         end = start + s
         if end > duration:
             phase[e] = _SERVICE
-            in_service.append(start)
-            continue
-        phase[e] = _DONE
-        service[e] = s
-        completed[e] = end
+            end = duration
+        else:
+            phase[e] = _DONE
+            service[e] = s
+            completed[e] = end
         overlap = end - max(start, warmup)
         if overlap > 0:
             busy += overlap
-    for start in in_service:  # capacity spent on elements still in service
-        overlap = duration - max(start, warmup)
-        if overlap > 0:
-            busy += overlap
-    return count, busy
+    for e in order[len(starts):]:
+        phase[e] = _QUEUED
+    return len(order) - bisect.bisect_left(arrivals, warmup), busy
 
 
 def mean(values: Sequence[float]) -> float | None:
@@ -420,14 +417,14 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
 
     Raises ValueError for a workload that ``WorkloadProfile.check``
     refuses, a topology that ``Topology.check`` refuses, offloaded sources
-    with different preprocessing times (see the module docstring) and a run
-    of more than ``MAX_ELEMENTS`` elements."""
+    with different preprocessing times or endpoint cores (see the module
+    docstring) and a run of more than ``MAX_ELEMENTS`` elements."""
     workload.check()
     topology.check()
     duration, warmup, rate = params.duration, params.warmup_s, workload.rate
     workers = {device.id: device for device in topology.workers}
     service_s = {wid: workload.proc_on(device.tier) / device.quota for wid, device in workers.items()}
-    sources, ranks, pre_s = _assign(topology, workload)
+    sources, ranks, (pre_s, endpoint_cores) = _assign(topology, workload)
 
     n_sources = len(sources)
     estimate = estimated_elements(n_sources, rate, params)
@@ -442,7 +439,8 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     arrival = array("d", [math.inf]) * n
     offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
     if offloaded:
-        _offload(columns, arrival, offloaded, pre_s, topology.worker_link, workload, duration, params.seed)
+        _offload(columns, arrival, offloaded, pre_s, endpoint_cores, topology.worker_link, workload, duration,
+                 params.seed)
 
     arrivals: dict[str, int] = {}
     busy_s: dict[str, float] = {}

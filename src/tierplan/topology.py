@@ -147,10 +147,11 @@ class Topology:
         an id; the topology has a worker; every worker has integer cores
         >= 1 and a quota in (0, 1]; every assignment key is a worker; every
         source is a device assigned once; a worker that serves itself serves
-        no other source; every offloading source has a quota in (0, 1] and a
-        link to cross; and the link's latency average and sd are finite and
-        >= 0 and its throughput finite and > 0.  Cores must be an int, and a
-        quota, latency or throughput an int or a float; a bool is neither."""
+        no other source; every offloading source has integer cores >= 1, a
+        quota in (0, 1] and a link to cross; and the link's latency average
+        and sd are finite and >= 0 and its throughput finite and > 0.  Cores
+        must be an int, and a quota, latency or throughput an int or a float;
+        a bool is neither."""
         if len(self._devices_by_id) < len(self.devices):
             ids = collections.Counter(d.id for d in self.devices)
             raise TopologyError(f"device id {next(i for i, n in ids.items() if n > 1)} names more than one device")
@@ -181,6 +182,9 @@ class Topology:
                 if not (_is_number(device.quota) and 0 < device.quota <= 1):
                     raise TopologyError(f"source {source_id} offloads with a quota outside (0, 1], "
                                         f"got {device.quota!r}")
+                if not (_is_int(device.cores) and device.cores >= 1):
+                    raise TopologyError(f"source {source_id} offloads with cores that are not an integer >= 1, "
+                                        f"got {device.cores!r}")
                 if self.worker_link is None:
                     raise TopologyError(f"source {source_id} offloads to {worker_id} but the topology has no link")
         link = self.worker_link

@@ -47,11 +47,12 @@ class _Element:
 
 
 class _Source:
-    def __init__(self, worker_id, local, pre_s, ser_s, prop_avg_s, prop_sd_s):
+    def __init__(self, worker_id, local, cores, pre_s, ser_s, prop_avg_s, prop_sd_s):
         self.worker_id, self.local = worker_id, local
         self.pre_s, self.ser_s, self.prop_avg_s, self.prop_sd_s = pre_s, ser_s, prop_avg_s, prop_sd_s
         self.next_index = 0
-        self.cpu_busy = self.link_busy = False
+        self.cpu_free = cores
+        self.link_busy = False
         self.cpu_queue: deque = deque()
         self.link_queue: deque = deque()
 
@@ -75,10 +76,10 @@ def simulate_events(topology, workload, params) -> dict:
         for source_id in assigned:
             device = topology.device(source_id)
             if source_id == worker_id:
-                sources[source_id] = _Source(worker_id, True, 0.0, 0.0, 0.0, 0.0)
+                sources[source_id] = _Source(worker_id, True, device.cores, 0.0, 0.0, 0.0, 0.0)
             else:
                 sources[source_id] = _Source(
-                    worker_id, False, workload.pre_time / device.quota,
+                    worker_id, False, device.cores, workload.pre_time / device.quota,
                     workload.element_size / link.throughput_mbit,
                     link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0)
 
@@ -127,11 +128,11 @@ def simulate_events(topology, workload, params) -> dict:
             records.append(rec)
             if src.local:
                 arrive(rec, workers[src.worker_id], now)
-            elif src.cpu_busy:
-                src.cpu_queue.append(rec)
-            else:
-                src.cpu_busy = True
+            elif src.cpu_free > 0:
+                src.cpu_free -= 1
                 push(now + src.pre_s, "pre", rec)
+            else:
+                src.cpu_queue.append(rec)
             next_gen = now + interval
             if next_gen < duration and (params.max_elements is None or src.next_index < params.max_elements):
                 push(next_gen, "gen", payload)
@@ -148,7 +149,7 @@ def simulate_events(topology, workload, params) -> dict:
             if src.cpu_queue:
                 push(now + src.pre_s, "pre", src.cpu_queue.popleft())
             else:
-                src.cpu_busy = False
+                src.cpu_free += 1
         elif action == "tx":
             rec, src = payload, sources[payload.source]
             rec.transfer = now - rec.stage_start

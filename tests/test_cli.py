@@ -297,6 +297,13 @@ class TestSimulate:
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
 
+    def test_viable_preprocessing_on_two_cores_keeps_the_backlog_bounded(self, capsys):
+        # mist endpoints have 2 cores at quota 0.5: 0.75 of 1.0 core-s/s
+        assert run_json(capsys, "predict", "mist", "--tpre", "0.15", "--json")["offload"]["viable"] is True
+        backlogs = [run_json(capsys, "simulate", "mist", "--tpre", "0.15", "--duration", duration)["report"]["backlog"]
+                    for duration in ("40", "80")]
+        assert backlogs[0] == backlogs[1]
+
     def test_duration_must_be_positive(self, capsys):
         for duration in ("-1", "0", "nan", "inf", "-1e-3", "-inf"):
             code, _, err = run(capsys, "simulate", "edge-small", "--duration", duration)

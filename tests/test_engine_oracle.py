@@ -108,19 +108,25 @@ class TestMatchesTheEventLoop:
 
 
 class TestDeclinedTopologies:
-    def test_offloaded_sources_with_different_quotas(self):
+    @staticmethod
+    def assert_declined_only_with_preprocessing(second_endpoint: Device):
+        """Two endpoints offload to one worker, the second unlike the first:
+        refused with preprocessing; without it the difference does not matter."""
         topology = Topology(
             devices=(Device("edge-0", "edge", 1, 1.0, "worker"),
-                     Device("endpoint-0", "endpoint", 1, 0.5, "source"),
-                     Device("endpoint-1", "endpoint", 1, 0.25, "source")),
+                     Device("endpoint-0", "endpoint", 1, 0.5, "source"), second_endpoint),
             worker_link=Link(tier_pair("edge", "endpoint"), 1.0, 0.0, 8.0),
-            assignment={"edge-0": ("endpoint-0", "endpoint-1")},
+            assignment={"edge-0": ("endpoint-0", second_endpoint.id)},
         )
-        workload = WorkloadProfile({"edge": 0.1}, 0.001, 5.0, 0.54)
         with pytest.raises(ValueError, match="preprocessing time"):
-            simulate(topology, workload, SimParams(duration=1.0))
-        # without preprocessing the quotas do not matter
+            simulate(topology, WorkloadProfile({"edge": 0.1}, 0.001, 5.0, 0.54), SimParams(duration=1.0))
         assert_same_run(topology, WorkloadProfile({"edge": 0.1}, 0.0, 5.0, 0.54), SimParams(duration=3.0))
+
+    def test_offloaded_sources_with_different_quotas(self):
+        self.assert_declined_only_with_preprocessing(Device("endpoint-1", "endpoint", 1, 0.25, "source"))
+
+    def test_offloaded_sources_with_different_cores(self):
+        self.assert_declined_only_with_preprocessing(Device("endpoint-1", "endpoint", 2, 0.5, "source"))
 
     def test_worker_serving_itself_and_others(self):
         topology = Topology(

@@ -52,9 +52,10 @@ def topologies(draw) -> Topology:
     if local:  # every worker processes its own elements
         devices, assignment = workers, {w.id: (w.id,) for w in workers}
     else:
-        shared_quota = draw(quotas)
-        sources = [Device(f"s{i}", "endpoint", 1, shared_quota if draw(st.integers(0, 4)) else draw(quotas),
-                          "source") for i in range(draw(st.integers(min_value=1, max_value=4)))]
+        shared_cores, shared_quota = draw(core_counts), draw(quotas)
+        sources = [Device(f"s{i}", "endpoint", shared_cores if draw(st.integers(0, 4)) else draw(core_counts),
+                          shared_quota if draw(st.integers(0, 4)) else draw(quotas), "source")
+                   for i in range(draw(st.integers(min_value=1, max_value=4)))]
         devices = workers + sources
         assignment = {w.id: tuple(s.id for s in sources[i::n_workers]) for i, w in enumerate(workers)}
     fault = draw(rarely(st.none(), ("ghost", "twice", "source key", "self and others", "repeated id")))
@@ -87,7 +88,7 @@ USUAL = WorkloadProfile(dict.fromkeys(TIERS, 0.14), 0.001, 5.0, 0.54)
 FOUR_SECONDS = SimParams(duration=4.0, seed=1)
 PINNED = ("NaN latency", "-1e6 ms latency, sd 1", "-1 ms latency", "worker quota 0", "source quota 0",
           "throughput 0", "0 cores", "source assigned twice", "repeated device id", "source quota '0.5'",
-          "throughput None")
+          "throughput None", "source cores 0")
 
 
 def pinned(test):

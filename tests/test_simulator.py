@@ -13,6 +13,7 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tierplan.analytic import offload_viability
 from tierplan.config import parse_config
 from tierplan.simulator import (
     PHASES,
@@ -212,6 +213,29 @@ class TestStableAgreement:
         report = simulate(topo, DEFAULT_WORKLOAD, SimParams(duration=40.0, seed=11))
         for busy in report.worker_busy_fraction.values():
             assert busy == pytest.approx(0.9333, abs=0.03)
+
+
+class TestPreprocessLimit:
+    """The model gives an endpoint cores x quota of preprocessing capacity,
+    and so must the simulator: offload is viable exactly where the backlog
+    stops growing."""
+
+    @pytest.mark.parametrize("load", [0.8, 0.95, 1.05, 1.25])
+    @pytest.mark.parametrize("quota", [0.5, 1.0])
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_viable_exactly_where_the_backlog_is_bounded(self, cores, quota, load):
+        topo = build_topology(parse_config(
+            "[infrastructure]\ndevices_per_tier = 0,2,4\n"
+            f"cores_per_device = 0,2,{cores}\nquota_per_cpu = 0,1.0,{quota}\n"
+            "edge_to_endpoint = 7.5,0\nedge_to_endpoint = 100\n"))
+        rate = 5.0
+        workload = uniform_workload(0.01, rate, pre=load * cores * quota / rate, size=0.54)
+        endpoint, worker = topo.device("endpoint-0"), topo.device("edge-0")
+        viable = offload_viability(workload, endpoint, worker, 2, topo.worker_link).viable
+        half, full = (simulate(topo, workload, SimParams(duration=d, seed=3)) for d in (40.0, 80.0))
+        growth = full.backlog - half.backlog
+        assert viable == (growth <= 0.02 * (full.generated - half.generated)), (viable, growth)
+        assert viable == (load <= 1.0)
 
 
 class TestDeterminism:

@@ -172,9 +172,9 @@ EDGE_LINK = Link(tier_pair("edge", "endpoint"), 7.5, 5.0, 8.0)
 
 
 def hand_built(worker: Device = WORKER, source_quota: float = 0.5, link: Link | None = EDGE_LINK,
-               assignment: dict | None = None) -> Topology:
+               assignment: dict | None = None, source_cores: int = 1) -> Topology:
     """One edge worker serving two endpoints, with one part changed."""
-    sources = tuple(dataclasses.replace(s, quota=source_quota) for s in SOURCES)
+    sources = tuple(dataclasses.replace(s, quota=source_quota, cores=source_cores) for s in SOURCES)
     if assignment is None:
         assignment = {worker.id: tuple(s.id for s in sources)}
     return Topology((worker, *sources), link, assignment)
@@ -219,6 +219,14 @@ REFUSED = {
                            "source endpoint-0 offloads with a quota outside (0, 1], got '0.5'"),
     "source quota None": (hand_built(source_quota=None),
                           "source endpoint-0 offloads with a quota outside (0, 1], got None"),
+    "source cores 0": (hand_built(source_cores=0),
+                       "source endpoint-0 offloads with cores that are not an integer >= 1, got 0"),
+    "source cores -1": (hand_built(source_cores=-1),
+                        "source endpoint-0 offloads with cores that are not an integer >= 1, got -1"),
+    "source cores 2.5": (hand_built(source_cores=2.5),
+                         "source endpoint-0 offloads with cores that are not an integer >= 1, got 2.5"),
+    "source cores True": (hand_built(source_cores=True),
+                          "source endpoint-0 offloads with cores that are not an integer >= 1, got True"),
     "no link": (hand_built(link=None), "source endpoint-0 offloads to edge-0 but the topology has no link"),
     "NaN latency": (with_link(latency_avg_ms=math.nan),
                     "latency for edge_to_endpoint must be finite and non-negative, got nan,5.0"),
