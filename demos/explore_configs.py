@@ -12,7 +12,7 @@ BASELINE = Path(__file__).parent / "configs" / "baseline.conf"
 
 
 def main() -> None:
-    text = BASELINE.read_text()
+    text = BASELINE.read_text(encoding="utf-8")
     print(f"== {BASELINE.name} ==")
     config, diagnostics = check_config(text)
     for diag in diagnostics:

@@ -39,7 +39,7 @@ def main() -> None:
           f"(queued {slowest.queue_wait * 1000:.1f} ms at {slowest.worker})")
 
     out = Path(__file__).with_name("pipeline_trace.csv")
-    with out.open("w", newline="") as stream:
+    with out.open("w", newline="", encoding="utf-8") as stream:
         write_trace_csv(report, stream)
     print(f"wrote {out}")
 

@@ -112,7 +112,9 @@ def _viability(workload: WorkloadProfile, endpoint: Device, worker: Device, endp
 def local_viability(workload: WorkloadProfile, endpoint: Device) -> Verdict:
     """Can the endpoint process its own elements as fast as it makes them?
     No preprocessing and no network are involved; required_bandwidth is
-    reported for information only."""
+    reported for information only.  Raises ValueError for an endpoint that
+    ``_check_placement`` refuses."""
+    _check_placement(endpoint, "endpoint", endpoint, 1, None)
     return _viability(workload, endpoint, endpoint, 1, None)
 
 
@@ -125,7 +127,10 @@ def offload_viability(
 ) -> Verdict:
     """Can ``target`` process the elements of ``endpoints_per_worker``
     endpoints shipped over ``link``?  All three conditions are always
-    evaluated, so every failure is reported, not just the first."""
+    evaluated, so every failure is reported, not just the first.  Raises
+    ValueError for a placement that ``_check_placement`` refuses, named
+    after the target's tier."""
+    _check_placement(endpoint, target.tier, target, endpoints_per_worker, link)
     return _viability(workload, endpoint, target, endpoints_per_worker, link)
 
 
@@ -166,26 +171,33 @@ def _placements(family: DeploymentFamily) -> Iterator[tuple[str, Device, int, Li
             yield placement, family.endpoint, 1, None
 
 
+def _check_placement(endpoint: Device, label: str, worker: Device, endpoints_per_worker: int,
+                     link: Link | None) -> None:
+    """Raise ValueError, naming the field, unless the endpoint and the
+    worker have integer cores >= 1 and a non-negative quota, the worker
+    serves an integer count >= 1 of endpoints, and the link, if any, has a
+    non-negative throughput.  The type predicates are ``Topology.check``'s
+    (a bool is neither an int nor a number, and NaN is not >= 0); the
+    ranges are the model's, which gives a defined class for a quota or
+    throughput of 0 (nothing fits), above 1 or infinite."""
+    for name, device in (("endpoint", endpoint), (f"{label} worker", worker)):
+        cores, quota = device.cores, device.quota
+        if not (_is_int(cores) and cores >= 1 and _is_number(quota) and quota >= 0):
+            raise ValueError(f"{name} needs integer cores >= 1 and a non-negative quota, "
+                             f"got cores {cores!r}, quota {quota!r}")
+    if not (_is_int(endpoints_per_worker) and endpoints_per_worker >= 1):
+        raise ValueError(f"{label} endpoints_per_worker must be an integer of at least 1, "
+                         f"got {endpoints_per_worker!r}")
+    if link is not None and not (_is_number(link.throughput_mbit) and link.throughput_mbit >= 0):
+        raise ValueError(f"{label} link throughput must be a non-negative number, "
+                         f"got {link.throughput_mbit!r}")
+
+
 def _check_family(family: DeploymentFamily) -> None:
-    """Raise ValueError, naming the field, unless the endpoint and every
-    placement's worker have integer cores >= 1 and a non-negative quota,
-    every placement serves an integer count >= 1 of endpoints, and every
-    link has a non-negative throughput.  The type predicates are
-    ``Topology.check``'s (a bool is neither an int nor a number, and NaN
-    is not >= 0); the ranges are the model's, which gives a defined class
-    for a quota or throughput of 0 (nothing fits), above 1 or infinite."""
-    for label, worker, endpoints_per_worker, link in _placements(family):
-        for name, device in (("endpoint", family.endpoint), (f"{label} worker", worker)):
-            cores, quota = device.cores, device.quota
-            if not (_is_int(cores) and cores >= 1 and _is_number(quota) and quota >= 0):
-                raise ValueError(f"{name} needs integer cores >= 1 and a non-negative quota, "
-                                 f"got cores {cores!r}, quota {quota!r}")
-        if not (_is_int(endpoints_per_worker) and endpoints_per_worker >= 1):
-            raise ValueError(f"{label} endpoints_per_worker must be an integer of at least 1, "
-                             f"got {endpoints_per_worker!r}")
-        if link is not None and not (_is_number(link.throughput_mbit) and link.throughput_mbit >= 0):
-            raise ValueError(f"{label} link throughput must be a non-negative number, "
-                             f"got {link.throughput_mbit!r}")
+    """``_check_placement`` on every placement of the family, before any
+    is judged."""
+    for placement in _placements(family):
+        _check_placement(family.endpoint, *placement)
 
 
 def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:

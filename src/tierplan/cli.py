@@ -57,15 +57,16 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file as UTF-8 whatever the locale, without a byte-order mark."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
 
 
 def _write_text(path: str, body: str) -> None:
     try:
-        Path(path).write_text(body)
+        Path(path).write_text(body, encoding="utf-8")
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from None
 
@@ -317,7 +318,7 @@ def cmd_simulate(args) -> int:
     body = _json_body({"manifest": manifest, "report": report.to_dict()})
     if args.trace:
         try:
-            with open(args.trace, "w") as stream:
+            with open(args.trace, "w", encoding="utf-8") as stream:
                 stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True)}\n")
                 write_trace_csv(report, stream)
         except OSError as exc:
@@ -437,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, help=f"random seed (default {DEFAULT_SEED})")
+    common.add_argument("--seed", type=int,
+                        help=f"random seed of simulate and compare (default {DEFAULT_SEED}); "
+                             "the other commands draw nothing, ignore it and record a null seed")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     workload = argparse.ArgumentParser(add_help=False)

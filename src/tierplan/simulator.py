@@ -224,21 +224,22 @@ def _generation_times(rate: float, duration: float, max_elements: int | None) ->
 
 
 def _assign(topology: Topology, workload: WorkloadProfile
-            ) -> tuple[list[tuple[str, str]], dict[str, list[int]], tuple[float, int]]:
-    """Sources by rank as (source id, worker id), each worker's source ranks,
-    and the preprocessing time and endpoint cores all offloaded sources
+            ) -> tuple[list[tuple[str, str]], dict[str, list[int]], list[int], tuple[float, int]]:
+    """Sources by rank as (source id, worker id), every worker's source ranks,
+    the offloaded ranks, and the preprocessing time and endpoint cores those
     share.  Without preprocessing the cores do not matter and count as 1."""
     sources = sorted((source_id, worker_id) for worker_id, assigned in topology.assignment.items()
                      for source_id in assigned)
-    offloading = [topology.device(source_id) for source_id, worker_id in sources if source_id != worker_id]
-    endpoint_cpus = {(workload.pre_time / d.quota, d.cores if workload.pre_time else 1) for d in offloading}
+    ranks: dict[str, list[int]] = {device.id: [] for device in topology.workers}
+    for rank, (_, worker_id) in enumerate(sources):
+        ranks[worker_id].append(rank)
+    offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
+    endpoint_cpus = {(workload.pre_time / d.quota, d.cores if workload.pre_time else 1)
+                     for d in (topology.device(sources[rank][0]) for rank in offloaded)}
     if len(endpoint_cpus) > 1:
         raise ValueError("offloaded sources must share one preprocessing time and core count "
                          "(same endpoint quota and cores)")
-    ranks: dict[str, list[int]] = {}
-    for rank, (_, worker_id) in enumerate(sources):
-        ranks.setdefault(worker_id, []).append(rank)
-    return sources, ranks, endpoint_cpus.pop() if endpoint_cpus else (0.0, 1)
+    return sources, ranks, offloaded, endpoint_cpus.pop() if endpoint_cpus else (0.0, 1)
 
 
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # as random.NV_MAGICCONST
@@ -338,6 +339,12 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
     return len(order) - bisect.bisect_left(arrivals, warmup), busy
 
 
+def _end_to_end(pre: Iterable[float], transfer: Iterable[float], propagation: Iterable[float],
+                queue_wait: Iterable[float], service: Iterable[float]) -> Iterator[float]:
+    """Each element's latency: the five components summed in ``ElementRecord.end_to_end``'s order."""
+    return map(add, map(add, map(add, map(add, pre, transfer), propagation), queue_wait), service)
+
+
 def mean(values: Sequence[float]) -> float | None:
     """The mean of a sequence of floats as ``statistics.fmean`` computes
     it, None for none.  Where the sum of the finite values overflows,
@@ -422,9 +429,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     workload.check()
     topology.check()
     duration, warmup, rate = params.duration, params.warmup_s, workload.rate
-    workers = {device.id: device for device in topology.workers}
-    service_s = {wid: workload.proc_on(device.tier) / device.quota for wid, device in workers.items()}
-    sources, ranks, (pre_s, endpoint_cores) = _assign(topology, workload)
+    # (worker, processing time) by id, looked up before _assign and the budget: a missing tier is refused first
+    workers = sorted([(d, workload.proc_on(d.tier)) for d in topology.workers], key=lambda pair: pair[0].id)
+    sources, ranks, offloaded, (pre_s, endpoint_cores) = _assign(topology, workload)
 
     n_sources = len(sources)
     estimate = estimated_elements(n_sources, rate, params)
@@ -437,24 +444,24 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     columns = _Columns(sources, g, *(array("d", [0.0]) * n for _ in range(5)), array("d", [math.nan]) * n,
                        bytearray(n))
     arrival = array("d", [math.inf]) * n
-    offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
     if offloaded:
         _offload(columns, arrival, offloaded, pre_s, endpoint_cores, topology.worker_link, workload, duration,
                  params.seed)
 
-    arrivals: dict[str, int] = {}
-    busy_s: dict[str, float] = {}
-    for worker_id, assigned in ranks.items():
-        if sources[assigned[0]][0] == worker_id:
+    window = duration - warmup
+    worker_load, worker_busy = {}, {}  # by worker id, in sorted order
+    for worker, proc in workers:
+        assigned = ranks[worker.id]
+        if assigned and sources[assigned[0]][0] == worker.id:
             arrival[assigned[0]::n_sources] = array("d", g)  # its own elements arrive as generated
         order = [base + rank for base in range(0, n, n_sources) for rank in assigned
                  if arrival[base + rank] <= duration]
         order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
-        arrivals[worker_id], busy_s[worker_id] = _serve(
-            columns, order, arrival, workers[worker_id].cores, service_s[worker_id], duration, warmup)
+        arrived, busy = _serve(columns, order, arrival, worker.cores, proc / worker.quota, duration, warmup)
+        worker_load[worker.id] = arrived * proc / window / capacity_of(worker) * 100.0
+        worker_busy[worker.id] = busy / (window * worker.cores)
     del arrival
 
-    window = duration - warmup
     phase_counts = {p: columns.phase.count(code) for code, p in enumerate(PHASES)}
     warming = bisect.bisect_left(g, warmup) * n_sources  # elements generated before warmup
     # an element completes after it is generated, so only those generated
@@ -466,19 +473,11 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
     pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in (
         columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
-    latencies = array("d", itertools.compress(
-        map(add, map(add, map(add, map(add, pre, transfer), propagation), queue_wait), service), measured))
+    latencies = array("d", itertools.compress(_end_to_end(pre, transfer, propagation, queue_wait, service), measured))
     latency_mean_s = mean(latencies)
     latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
     n_measured = len(latencies)
     del latencies  # freed before a component mean that overflows rebuilds its values
-
-    worker_load: dict[str, float] = {}
-    worker_busy: dict[str, float] = {}
-    for worker_id, device in sorted(workers.items()):
-        demand = arrivals.get(worker_id, 0) * workload.proc_on(device.tier) / window
-        worker_load[worker_id] = demand / capacity_of(device) * 100.0
-        worker_busy[worker_id] = busy_s.get(worker_id, 0.0) / (window * device.cores)
 
     return SimReport(
         params=params,
@@ -533,7 +532,7 @@ def _format_rounds(columns: _Columns, prefixes: list[str], k0: int, k1: int) -> 
     pre, tx, prop, wait, svc = (column[lo:hi].tolist() for column in (
         columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
     codes = columns.phase[lo:hi]
-    sums = map(add, map(add, map(add, map(add, pre, tx), prop), wait), svc)
+    sums = _end_to_end(pre, tx, prop, wait, svc)
     total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]
     completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completed[lo:hi], codes)]
     rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],

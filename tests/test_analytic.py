@@ -225,7 +225,9 @@ def _with(endpoint=ENDPOINT, worker=SMALL_EDGE, endpoints=4, throughput=8.0) -> 
 class TestHandBuiltFamily:
     """A family that is not a number where the model reads one is refused by
     name, once per call, by ``classify``, ``classify_at`` and ``heatmap``:
-    a quota of "0.5" raised TypeError and a NaN quota was "not-viable"."""
+    a quota of "0.5" raised TypeError and a NaN quota was "not-viable".
+    ``offload_viability`` refuses each row for its one placement, and
+    ``local_viability`` the rows that concern the endpoint."""
 
     # one row per refusal: (family, words of the message)
     REFUSED = {
@@ -247,9 +249,14 @@ class TestHandBuiltFamily:
     @pytest.mark.parametrize("name", REFUSED)
     def test_names_the_field(self, name):
         family, words = self.REFUSED[name]
-        calls = (lambda: classify(DEFAULT_WORKLOAD, family),
+        option = family.options["edge"]
+        calls = [lambda: classify(DEFAULT_WORKLOAD, family),
                  lambda: classify_at(DEFAULT_WORKLOAD, family, 5.0, 0.11),
-                 lambda: heatmap(GridSpec(rate_steps=3, proc_steps=3), DEFAULT_WORKLOAD, family))
+                 lambda: heatmap(GridSpec(rate_steps=3, proc_steps=3), DEFAULT_WORKLOAD, family),
+                 lambda: offload_viability(DEFAULT_WORKLOAD, family.endpoint, option.worker,
+                                           option.endpoints_per_worker, option.link)]
+        if words == "endpoint needs":  # the one device local processing reads
+            calls.append(lambda: local_viability(DEFAULT_WORKLOAD, family.endpoint))
         for call in calls:
             with pytest.raises(ValueError, match=words):
                 call()

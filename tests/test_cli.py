@@ -535,6 +535,54 @@ def test_config_that_is_not_utf8_is_an_io_error(capsys, tmp_path):
         assert f"cannot read {path}" in err
 
 
+class TestEncoding:
+    """Config files are read as UTF-8, skipping a byte-order mark, and
+    ``--out`` is written as UTF-8, whatever the locale."""
+
+    BASELINE = Path(__file__).resolve().parents[1] / "demos" / "configs" / "baseline.conf"
+
+    def test_config_with_a_byte_order_mark_is_read(self, capsys, tmp_path):
+        # the mark was read as part of line 1: "expected 'key = value'", exit 3
+        path = tmp_path / "bom.conf"
+        path.write_bytes("\ufeff".encode() + self.BASELINE.read_bytes())
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == EXIT_OK, out + err
+        with_mark, without = (run_json(capsys, "predict", str(p), "--json") for p in (path, self.BASELINE))
+        with_mark["manifest"].pop("timestamp"), without["manifest"].pop("timestamp")
+        assert with_mark == without
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        # the locale's ascii codec read the file: exit 4, "'ascii' codec can't decode"
+        commented = tmp_path / "commented.conf"
+        commented.write_bytes("# caf\u00e9 \u2014 a comment\n".encode() + self.BASELINE.read_bytes())
+        unknown = tmp_path / "unknown.conf"
+        unknown.write_bytes("[caf\u00e9]\n".encode())
+        listing = tmp_path / "diagnostics.txt"
+        package_root = str(Path(tierplan.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+        def tierplan_cli(*argv):
+            return subprocess.run([sys.executable, "-m", "tierplan.cli", *argv], capture_output=True, text=True,
+                                  timeout=60, env=env)
+
+        valid = tierplan_cli("validate", str(commented))
+        assert valid.returncode == EXIT_OK, valid.stderr
+        invalid = tierplan_cli("validate", str(unknown), "--out", str(listing))
+        assert invalid.returncode == EXIT_CONFIG, invalid.stderr
+        assert "unknown section [caf\u00e9]" in listing.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [("predict", "edge-small"), ("heatmap", "--resolution", "5")])
+def test_only_simulate_and_compare_use_the_seed(capsys, argv):
+    """The other commands accept ``--seed``, ignore it and record a null seed."""
+    plain = run_json(capsys, *argv, "--json")
+    seeded = run_json(capsys, *argv, "--json", "--seed", "7")
+    for payload in (plain, seeded):
+        assert payload.pop("manifest")["seed"] is None
+    assert plain == seeded
+
+
 def test_config_without_endpoints_exits_with_the_config_code(capsys, tmp_path):
     path = tmp_path / "no-endpoints.conf"
     path.write_text("[infrastructure]\ndevices_per_tier = 0,1,0\ncores_per_device = 0,2,0\n"

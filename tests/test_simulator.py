@@ -24,10 +24,11 @@ from tierplan.simulator import (
     stdev,
     write_trace_csv,
 )
-from tierplan.config import load_preset
+from tierplan.config import load_preset, tier_pair
 from tierplan.topology import (
     DEFAULT_WORKLOAD,
     Device,
+    Link,
     Topology,
     WorkloadProfile,
     build_topology,
@@ -213,6 +214,38 @@ class TestStableAgreement:
         report = simulate(topo, DEFAULT_WORKLOAD, SimParams(duration=40.0, seed=11))
         for busy in report.worker_busy_fraction.values():
             assert busy == pytest.approx(0.9333, abs=0.03)
+
+
+class TestWorkersByHand:
+    """Every worker is reported in sorted-id order, whatever the order of the
+    devices and of the assignment's keys, an idle one with zero load."""
+
+    # edge-c and edge-a each serve one endpoint; edge-b serves none
+    TOPOLOGY = Topology(
+        devices=(*(Device(f"edge-{x}", "edge", 2, 0.5, "worker") for x in "cba"),
+                 Device("endpoint-0", "endpoint", 1, 0.5, "source"),
+                 Device("endpoint-1", "endpoint", 1, 0.5, "source")),
+        worker_link=Link(tier_pair("edge", "endpoint"), 0.0, 0.0, 8.0),
+        assignment={"edge-c": ("endpoint-0",), "edge-a": ("endpoint-1",)},
+    )
+
+    def test_idle_worker_and_sorted_keys(self):
+        # 4 Hz from 0 s: 36 arrivals in [1, 10), 0.1 s each on 2 x 0.5 cores
+        # (3.6 core-s over 9 s: 40%), served in 0.2 s on one of 2 cores
+        report = simulate(self.TOPOLOGY, uniform_workload(proc=0.1, rate=4.0), SimParams(duration=10.0))
+        assert list(report.worker_load_percent) == ["edge-a", "edge-b", "edge-c"]
+        assert list(report.worker_busy_fraction) == ["edge-a", "edge-b", "edge-c"]
+        assert report.worker_load_percent["edge-b"] == 0.0
+        assert report.worker_busy_fraction["edge-b"] == 0.0
+        for worker in ("edge-a", "edge-c"):
+            assert report.worker_load_percent[worker] == pytest.approx(40.0, rel=1e-12)
+            assert report.worker_busy_fraction[worker] == pytest.approx(0.4, rel=1e-12)
+
+    def test_missing_tier_is_refused_before_the_element_budget(self):
+        # a run of about 2e10 elements, on workers whose tier has no time
+        workload = WorkloadProfile({"cloud": 0.1}, 0.0, 1e9, 0.0)
+        with pytest.raises(ValueError, match="no processing time for tier 'edge'"):
+            simulate(self.TOPOLOGY, workload, SimParams(duration=10.0))
 
 
 class TestPreprocessLimit:
