@@ -11,15 +11,16 @@ All comparisons are weak inequalities: a load of exactly 100% still passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
-from .config import load_preset
+from .config import _shown, load_preset
 from .topology import (
     Device,
     Link,
     Topology,
     WorkloadProfile,
+    _is_count,
     _is_int,
     _is_number,
     build_topology,
@@ -66,7 +67,7 @@ class ConditionCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "demand": self.demand, "capacity": self.capacity, "passed": self.passed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,15 @@ def _check_placement(endpoint: Device, label: str, worker: Device, endpoints_per
     throughput of 0 (nothing fits), above 1 or infinite."""
     for name, device in (("endpoint", endpoint), (f"{label} worker", worker)):
         cores, quota = device.cores, device.quota
-        if not (_is_int(cores) and cores >= 1 and _is_number(quota) and quota >= 0):
+        if not (_is_count(cores) and _is_number(quota) and quota >= 0):
             raise ValueError(f"{name} needs integer cores >= 1 and a non-negative quota, "
-                             f"got cores {cores!r}, quota {quota!r}")
-    if not (_is_int(endpoints_per_worker) and endpoints_per_worker >= 1):
+                             f"got cores {_shown(cores)}, quota {_shown(quota)}")
+    if not _is_count(endpoints_per_worker):
         raise ValueError(f"{label} endpoints_per_worker must be an integer of at least 1, "
-                         f"got {endpoints_per_worker!r}")
+                         f"got {_shown(endpoints_per_worker)}")
     if link is not None and not (_is_number(link.throughput_mbit) and link.throughput_mbit >= 0):
         raise ValueError(f"{label} link throughput must be a non-negative number, "
-                         f"got {link.throughput_mbit!r}")
+                         f"got {_shown(link.throughput_mbit)}")
 
 
 def _check_family(family: DeploymentFamily) -> None:
@@ -266,11 +267,11 @@ class GridSpec:
         for name in ("rate_max", "proc_max"):
             value = getattr(self, name)
             if not (_is_number(value) and 0 < value < math.inf):
-                raise ValueError(f"grid ranges must be positive and finite, got {name}={value!r}")
+                raise ValueError(f"grid ranges must be positive and finite, got {name}={_shown(value)}")
         for name in ("rate_steps", "proc_steps"):
             value = getattr(self, name)
             if not _is_int(value):
-                raise ValueError(f"grid sample counts must be integers, got {name}={value!r}")
+                raise ValueError(f"grid sample counts must be integers, got {name}={_shown(value)}")
         if self.rate_steps < 2 or self.proc_steps < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         if self.rate_steps * self.proc_steps > MAX_CELLS:

@@ -10,10 +10,11 @@ inputs reproduces the numbers exactly.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -24,6 +25,7 @@ from .config import (
     DeploymentConfig,
     PRESET_NAMES,
     TIERS,
+    _shown,
     check_config,
     load_preset,
     parse_config,
@@ -139,9 +141,13 @@ def _manifest(command: str, *, seed: int | None = None, preset: str | None = Non
 
 
 def _emit(args, body: str) -> int:
+    """Write the body to ``--out`` as UTF-8, else to stdout in the locale's
+    codec, escaping what it cannot encode as stderr does."""
     if args.out:
         _write_text(args.out, body)
     else:
+        if isinstance(sys.stdout, io.TextIOWrapper):
+            sys.stdout.reconfigure(errors="backslashreplace")
         sys.stdout.write(body)
     return EXIT_OK
 
@@ -199,9 +205,7 @@ def cmd_validate(args) -> int:
         payload = {
             "manifest": _manifest("validate", config=config, config_text=text),
             "ok": ok,
-            "diagnostics": [
-                {"severity": d.severity, "key": d.key, "message": d.message} for d in diagnostics
-            ],
+            "diagnostics": list(map(asdict, diagnostics)),
         }
         _emit(args, _json_body(payload))
     else:
@@ -369,7 +373,12 @@ def cmd_compare(args) -> int:
         config, _, topology = _load_target(name)
         runs.append((topology, _resolve_workload(args, config)))
     # bounded before anything is simulated; a run that generates nothing
-    # counts as one element, so many empty runs are bounded too
+    # counts as one element, so many empty runs are bounded too, and the run
+    # count is bounded first, in ints, so a huge --repeats overflows no float
+    run_count = args.repeats * len(runs)
+    if run_count > MAX_ELEMENTS:
+        raise CliError(EXIT_ARGUMENT, f"the comparison would make {_shown(run_count)} runs, at least one "
+                                      f"element each, more than the budget of {MAX_ELEMENTS} elements")
     total = args.repeats * sum(max(1, estimated_elements(len(topology.sources), workload.rate, params))
                                for topology, workload in runs)
     if total > MAX_ELEMENTS:

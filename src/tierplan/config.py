@@ -32,6 +32,7 @@ case-sensitive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Mapping
 
@@ -349,6 +350,9 @@ def validate(config: DeploymentConfig) -> list[Diagnostic]:
         if not _is_a(cores, _INTEGER) or cores < 0:
             error("cores_per_device", f"core count for {tier} must be a non-negative integer, got {_shown(cores)}")
             continue
+        if cores > sys.float_info.max:  # the model multiplies it by floats
+            error("cores_per_device", f"core count for {tier} must be one a float can hold, got {_shown(cores)}")
+            continue
         quota = config.quota_per_cpu[i]
         if count > 0:
             if cores < 1:
@@ -553,10 +557,6 @@ def _fmt(value) -> str:
     return repr(value)
 
 
-def _fmt_seq(values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
 def _pair_rank(pair: TierPair) -> tuple[int, int]:
     return (_TIER_RANK[pair[0]], _TIER_RANK[pair[1]])
 
@@ -571,7 +571,7 @@ def render_config(config: DeploymentConfig) -> str:
     """
     blocks = {section: [f"[{section}]"] for section in _KEYS}
     for section, key, _, _, values in _lines(config):
-        blocks[section].append(f"{key} = {_fmt_seq(values)}")
+        blocks[section].append(f"{key} = {','.join(map(_fmt, values))}")
     return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 

@@ -61,11 +61,12 @@ import random
 import tempfile
 import threading
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from operator import add, lt
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
+from .config import _shown
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
 # Largest run simulate accepts, in elements: a run peaks at about 66 bytes
@@ -82,13 +83,13 @@ class SimParams:
 
     def __post_init__(self) -> None:
         if not (_is_number(self.duration) and 0 < self.duration < math.inf):
-            raise ValueError(f"duration must be positive and finite, got {self.duration!r}")
+            raise ValueError(f"duration must be positive and finite, got {_shown(self.duration)}")
         if not (_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration):
-            raise ValueError(f"warmup must lie in [0, duration), got {self.warmup_s!r}")
+            raise ValueError(f"warmup must lie in [0, duration), got {_shown(self.warmup_s)}")
         if self.max_elements is not None and not (_is_int(self.max_elements) and self.max_elements >= 1):
-            raise ValueError(f"max_elements must be an integer of at least 1, got {self.max_elements!r}")
+            raise ValueError(f"max_elements must be an integer of at least 1, got {_shown(self.max_elements)}")
         if not _is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise ValueError(f"seed must be an integer, got {_shown(self.seed)}")
 
     @property
     def warmup_s(self) -> float:
@@ -177,25 +178,14 @@ class SimReport:
         return tuple(ElementRecord(*row) for row in self.columns.rows())
 
     def to_dict(self) -> dict:
-        return {
-            "duration_s": self.params.duration,
-            "warmup_s": self.params.warmup_s,
-            "seed": self.params.seed,
-            "generated": self.generated,
-            "completed": self.completed,
-            "measured": self.measured,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_sd_s": self.latency_sd_s,
-            "communication_mean_s": self.communication_mean_s,
-            "compute_mean_s": self.compute_mean_s,
-            "queueing_mean_s": self.queueing_mean_s,
-            "worker_load_percent": dict(self.worker_load_percent),
-            "worker_busy_fraction": dict(self.worker_busy_fraction),
-            "throughput_eps": self.throughput_eps,
-            "backlog": self.backlog,
-            "backlog_at_warmup": self.backlog_at_warmup,
-            "phase_counts": dict(self.phase_counts),
-        }
+        """The params' duration, warmup and seed, then every other field but
+        the columns, in field order; the mappings copied."""
+        data = {"duration_s": self.params.duration, "warmup_s": self.params.warmup_s, "seed": self.params.seed}
+        for f in fields(self):
+            if f.name not in ("params", "columns"):
+                value = getattr(self, f.name)
+                data[f.name] = dict(value) if isinstance(value, dict) else value
+        return data
 
 
 def estimated_elements(sources: int, rate: float, params: SimParams) -> float:
@@ -454,7 +444,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         assigned = ranks[worker.id]
         if assigned and sources[assigned[0]][0] == worker.id:
             arrival[assigned[0]::n_sources] = array("d", g)  # its own elements arrive as generated
-        order = [base + rank for base in range(0, n, n_sources) for rank in assigned
+        order = [base + rank for base in range(0, n, n_sources or 1) for rank in assigned  # n is 0 without sources
                  if arrival[base + rank] <= duration]
         order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
         arrived, busy = _serve(columns, order, arrival, worker.cores, proc / worker.quota, duration, warmup)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
-from .config import TIERS, DeploymentConfig, TierPair, pair_key, validate, worker_plan
+from .config import TIERS, DeploymentConfig, TierPair, _shown, pair_key, validate, worker_plan
 
 
 class TopologyError(ValueError):
@@ -25,14 +26,23 @@ class TopologyError(ValueError):
 
 
 def _is_number(value) -> bool:
-    """Whether the range checks can compare ``value``: an int or a float,
-    and so not a bool, as ``validate`` holds."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether the range checks can compare ``value`` and the model can
+    compute with it: a float, or an int (and so not a bool) that a float
+    can hold, as ``validate`` holds."""
+    if isinstance(value, float):
+        return True
+    return _is_int(value) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an int, and so not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an int of at least 1 that a float can hold, as
+    a core or endpoint count the model multiplies must be."""
+    return _is_int(value) and 1 <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ class WorkloadProfile:
         fields += [("pre_time", self.pre_time), ("rate", self.rate), ("element_size", self.element_size)]
         for name, value in fields:
             if not (_is_number(value) and 0 <= value < math.inf):
-                raise ValueError(f"workload {name} must be finite and non-negative, got {value!r}")
+                raise ValueError(f"workload {name} must be finite and non-negative, got {_shown(value)}")
 
     def with_rate(self, rate: float) -> WorkloadProfile:
         return replace(self, rate=rate)
@@ -151,7 +161,7 @@ class Topology:
         quota in (0, 1] and a link to cross; and the link's latency average
         and sd are finite and >= 0 and its throughput finite and > 0.  Cores
         must be an int, and a quota, latency or throughput an int or a float;
-        a bool is neither."""
+        a bool is neither, and an int must be one a float can hold."""
         if len(self._devices_by_id) < len(self.devices):
             ids = collections.Counter(d.id for d in self.devices)
             raise TopologyError(f"device id {next(i for i, n in ids.items() if n > 1)} names more than one device")
@@ -160,9 +170,9 @@ class Topology:
             raise TopologyError("topology has no workers")
         for worker in workers.values():
             cores, quota = worker.cores, worker.quota
-            if not (_is_int(cores) and cores >= 1 and _is_number(quota) and 0 < quota <= 1):
+            if not (_is_count(cores) and _is_number(quota) and 0 < quota <= 1):
                 raise TopologyError(f"worker {worker.id} needs integer cores >= 1 and a quota in (0, 1], "
-                                    f"got cores {cores!r}, quota {quota!r}")
+                                    f"got cores {_shown(cores)}, quota {_shown(quota)}")
         assigned: set[str] = set()
         for worker_id, source_ids in self.assignment.items():
             if worker_id not in workers:
@@ -181,10 +191,10 @@ class Topology:
                     continue
                 if not (_is_number(device.quota) and 0 < device.quota <= 1):
                     raise TopologyError(f"source {source_id} offloads with a quota outside (0, 1], "
-                                        f"got {device.quota!r}")
-                if not (_is_int(device.cores) and device.cores >= 1):
+                                        f"got {_shown(device.quota)}")
+                if not _is_count(device.cores):
                     raise TopologyError(f"source {source_id} offloads with cores that are not an integer >= 1, "
-                                        f"got {device.cores!r}")
+                                        f"got {_shown(device.cores)}")
                 if self.worker_link is None:
                     raise TopologyError(f"source {source_id} offloads to {worker_id} but the topology has no link")
         link = self.worker_link
@@ -192,10 +202,10 @@ class Topology:
             name = pair_key(link.tiers)
             if not all(_is_number(ms) and 0 <= ms < math.inf for ms in (link.latency_avg_ms, link.latency_sd_ms)):
                 raise TopologyError(f"latency for {name} must be finite and non-negative, "
-                                    f"got {link.latency_avg_ms!r},{link.latency_sd_ms!r}")
+                                    f"got {_shown(link.latency_avg_ms)},{_shown(link.latency_sd_ms)}")
             if not (_is_number(link.throughput_mbit) and 0 < link.throughput_mbit < math.inf):
                 raise TopologyError(f"throughput for {name} must be finite and positive, "
-                                    f"got {link.throughput_mbit!r}")
+                                    f"got {_shown(link.throughput_mbit)}")
 
 
 def build_topology(config: DeploymentConfig) -> Topology:
@@ -231,7 +241,7 @@ def local_topology(count: int, cores: int = 1, quota: float = 0.5) -> Topology:
     """Endpoints that process their own elements: no preprocessing step, no
     network, each device assigned to itself."""
     if not isinstance(count, int):
-        raise TopologyError(f"local topology needs an integer endpoint count, got {count!r}")
+        raise TopologyError(f"local topology needs an integer endpoint count, got {_shown(count)}")
     devices = tuple(Device(f"endpoint-{i}", "endpoint", cores, quota, "worker") for i in range(count))
     topology = Topology(devices=devices, worker_link=None, assignment={d.id: (d.id,) for d in devices})
     topology.check()

@@ -244,6 +244,12 @@ class TestHandBuiltFamily:
         "NaN throughput": (_with(throughput=math.nan), "edge link throughput"),
         "text throughput": (_with(throughput="8"), "edge link throughput"),
         "negative throughput": (_with(throughput=-8.0), "edge link throughput"),
+        # ints a float cannot hold: each raised OverflowError
+        "10**5000 endpoint quota": (_with(endpoint=replace(ENDPOINT, quota=10**5000)), "endpoint needs"),
+        "10**5000 worker quota": (_with(worker=replace(SMALL_EDGE, quota=10**5000)), "edge worker needs"),
+        "10**5000 endpoint cores": (_with(endpoint=replace(ENDPOINT, cores=10**5000)), "endpoint needs"),
+        "10**5000 endpoints per worker": (_with(endpoints=10**5000), "edge endpoints_per_worker"),
+        "10**5000 throughput": (_with(throughput=10**5000), "edge link throughput"),
     }
 
     @pytest.mark.parametrize("name", REFUSED)
@@ -312,6 +318,12 @@ class TestFamilyFromTopology:
         option = family_from_topology(topology).options["edge"]
         assert (option.worker.id, option.endpoints_per_worker) == ("edge-1", 1)
 
+    def test_topology_without_sources_is_refused(self):
+        topology = Topology((SMALL_EDGE,), LINK_8MBIT, {})
+        topology.check()
+        with pytest.raises(ValueError, match="topology has no data-generating endpoints"):
+            family_from_topology(topology)
+
     def test_mist_family_offloads_to_peers(self):
         family = family_from_topology(build_topology(load_preset("mist")))
         assert set(family.options) == {"endpoint"}
@@ -347,6 +359,7 @@ class TestHeatmap:
         ({"proc_max": True}, "proc_max"),
         ({"rate_steps": True}, "rate_steps"),
         ({"proc_steps": "21"}, "proc_steps"),
+        ({"rate_max": 10**5000}, "rate_max"),  # raised OverflowError
     ])
     def test_grid_spec_field_of_the_wrong_type_is_refused(self, fields, name):
         with pytest.raises(ValueError, match=name):

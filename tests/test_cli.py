@@ -435,6 +435,17 @@ class TestCompare:
             assert (code, out) == (EXIT_ARGUMENT, ""), flags
             assert "budget" in err
 
+    def test_repeats_beyond_the_float_range_are_refused(self, capsys):
+        # repeats x the float element count overflowed: OverflowError, exit 1
+        code, out, err = run(capsys, "compare", "cloud", "mist", "--repeats", "9" * 400)
+        assert (code, out) == (EXIT_ARGUMENT, "")
+        assert "runs, at least one element each" in err and "budget" in err
+
+    def test_repeats_must_be_at_least_one(self, capsys):
+        code, out, err = run(capsys, "compare", "cloud", "mist", "--repeats", "0")
+        assert (code, out) == (EXIT_ARGUMENT, "")
+        assert "--repeats must be at least 1, got 0" in err
+
     def test_text_refuses_what_json_refuses(self, capsys):
         code, out, err = run(capsys, "compare", "cloud", "mist", "--tproc", "cloud=1e307", "--tproc", "edge=1e307",
                              "--tproc", "endpoint=1e307", "--duration", "1", "--repeats", "1")
@@ -551,6 +562,15 @@ class TestEncoding:
         with_mark["manifest"].pop("timestamp"), without["manifest"].pop("timestamp")
         assert with_mark == without
 
+    @staticmethod
+    def ascii_locale_cli(*argv):
+        """Run the CLI in a new interpreter whose locale codec is ascii."""
+        package_root = str(Path(tierplan.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "tierplan.cli", *argv], capture_output=True, text=True,
+                              timeout=60, env=env)
+
     def test_utf8_under_an_ascii_locale(self, tmp_path):
         # the locale's ascii codec read the file: exit 4, "'ascii' codec can't decode"
         commented = tmp_path / "commented.conf"
@@ -558,19 +578,22 @@ class TestEncoding:
         unknown = tmp_path / "unknown.conf"
         unknown.write_bytes("[caf\u00e9]\n".encode())
         listing = tmp_path / "diagnostics.txt"
-        package_root = str(Path(tierplan.__file__).resolve().parents[1])
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
 
-        def tierplan_cli(*argv):
-            return subprocess.run([sys.executable, "-m", "tierplan.cli", *argv], capture_output=True, text=True,
-                                  timeout=60, env=env)
-
-        valid = tierplan_cli("validate", str(commented))
+        valid = self.ascii_locale_cli("validate", str(commented))
         assert valid.returncode == EXIT_OK, valid.stderr
-        invalid = tierplan_cli("validate", str(unknown), "--out", str(listing))
+        invalid = self.ascii_locale_cli("validate", str(unknown), "--out", str(listing))
         assert invalid.returncode == EXIT_CONFIG, invalid.stderr
         assert "unknown section [caf\u00e9]" in listing.read_text(encoding="utf-8")
+
+    def test_stdout_escapes_under_an_ascii_locale(self, tmp_path):
+        # stdout wrote in the ascii codec: "'ascii' codec can't encode character '\xe9'", exit 2
+        unknown = tmp_path / "unknown.conf"
+        unknown.write_bytes("[caf\u00e9]\n".encode())
+        printed = self.ascii_locale_cli("validate", str(unknown))
+        assert printed.returncode == EXIT_CONFIG, printed.stderr
+        assert printed.stdout.splitlines() == ["error: line 1: unknown section [caf\\xe9]",
+                                               "error: missing [infrastructure] section",
+                                               f"{unknown}: invalid (2 errors, 0 warnings)"]
 
 
 @pytest.mark.parametrize("argv", [("predict", "edge-small"), ("heatmap", "--resolution", "5")])
@@ -594,6 +617,16 @@ def test_config_without_endpoints_exits_with_the_config_code(capsys, tmp_path):
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (EXIT_CONFIG, ""), command
         assert "no data-generating endpoints" in err
+
+
+def test_core_count_a_float_cannot_hold_exits_with_the_config_code(capsys, tmp_path):
+    # validate passed it, and predict, heatmap and simulate ended in OverflowError, exit 1
+    path = tmp_path / "huge-cores.conf"
+    path.write_text(f"[infrastructure]\ndevices_per_tier = 11,0,40\ncores_per_device = {10**400},0,1\n"
+                    "quota_per_cpu = 1,0,0.5\ncloud_to_endpoint = 45,5\ncloud_to_endpoint = 8\n")
+    for command in ("validate", "predict", "heatmap", "simulate"):
+        code, _, err = run(capsys, command, str(path))
+        assert code == EXIT_CONFIG, (command, err)
 
 
 class TestParsing:

@@ -13,6 +13,7 @@ from tierplan.config import (
     ConfigError,
     DeploymentConfig,
     PRESET_NAMES,
+    PlanError,
     check_config,
     load_preset,
     parse_config,
@@ -338,6 +339,18 @@ def test_messages_show_an_int_too_long_for_repr_by_its_size():
     assert first.message == "<int of 14285 bits> devices in all, more than the 1000000 a topology may have"
 
 
+def test_core_count_a_float_cannot_hold_is_refused():
+    # validate passed it, and predict, heatmap and simulate raised OverflowError
+    config = replaced(load_preset("cloud"), cores_per_device=(10**400, 0, 1))
+    assert [(d.key, d.message) for d in errors_of(validate(config))] == [
+        ("cores_per_device", f"core count for cloud must be one a float can hold, got {10**400}")]
+
+
+def test_tier_pair_refuses_an_unknown_tier():
+    with pytest.raises(ValueError, match="unknown tier in pair 'cloud', 'fog'"):
+        tier_pair("cloud", "fog")
+
+
 class TestWorkerPlan:
     def test_edge_hosts_when_populated(self):
         plan = worker_plan(load_preset("edge-small"))
@@ -361,6 +374,11 @@ class TestWorkerPlan:
         assert plan.worker_tier == "endpoint"
         assert (plan.workers, plan.sources) == (10, 10)
         assert plan.endpoints_per_worker == 1
+
+    def test_peer_to_peer_needs_two_endpoints(self):
+        config = replaced(load_preset("mist"), devices_per_tier=(0, 0, 1))
+        with pytest.raises(PlanError, match="peer-to-peer processing needs at least 2 endpoints"):
+            worker_plan(config)
 
 
 class TestRenderRoundtrip:

@@ -424,6 +424,8 @@ class TestParams:
         ({"duration": 4.0, "seed": 1.5}, "seed"),
         ({"duration": 4.0, "seed": True}, "seed"),
         ({"duration": 4.0, "seed": [1]}, "seed"),
+        ({"duration": 10**5000}, "duration"),  # raised OverflowError
+        ({"duration": 4.0, "warmup": 10**5000}, "warmup"),  # its repr raised ValueError
     ])
     def test_field_of_the_wrong_type_is_refused(self, fields, name):
         with pytest.raises(ValueError, match=name):

@@ -203,6 +203,13 @@ REFUSED = {
                             "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores 2, quota '0.75'"),
     "True cores": (hand_built(dataclasses.replace(WORKER, cores=True)),
                    "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], got cores True, quota 0.75"),
+    # ints a float cannot hold: repr raised ValueError, or the model OverflowError
+    "worker quota 10**5000": (hand_built(dataclasses.replace(WORKER, quota=10**5000)),
+                              "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], "
+                              "got cores 2, quota <int of 16610 bits>"),
+    "10**5000 cores": (hand_built(dataclasses.replace(WORKER, cores=10**5000)),
+                       "worker edge-0 needs integer cores >= 1 and a quota in (0, 1], "
+                       "got cores <int of 16610 bits>, quota 0.75"),
     "key not a worker": (hand_built(assignment={"endpoint-0": ("endpoint-1",)}),
                          "sources are assigned to endpoint-0, which is not a worker"),
     "source not a device": (hand_built(assignment={"edge-0": ("endpoint-0", "endpoint-9")}),
@@ -227,6 +234,10 @@ REFUSED = {
                          "source endpoint-0 offloads with cores that are not an integer >= 1, got 2.5"),
     "source cores True": (hand_built(source_cores=True),
                           "source endpoint-0 offloads with cores that are not an integer >= 1, got True"),
+    "source quota 10**5000": (hand_built(source_quota=10**5000),
+                              "source endpoint-0 offloads with a quota outside (0, 1], got <int of 16610 bits>"),
+    "source cores 10**5000": (hand_built(source_cores=10**5000), "source endpoint-0 offloads with cores "
+                                                                 "that are not an integer >= 1, got <int of 16610 bits>"),
     "no link": (hand_built(link=None), "source endpoint-0 offloads to edge-0 but the topology has no link"),
     "NaN latency": (with_link(latency_avg_ms=math.nan),
                     "latency for edge_to_endpoint must be finite and non-negative, got nan,5.0"),
@@ -244,6 +255,10 @@ REFUSED = {
                             "throughput for edge_to_endpoint must be finite and positive, got inf"),
     "throughput None": (with_link(throughput_mbit=None),
                         "throughput for edge_to_endpoint must be finite and positive, got None"),
+    "latency 10**5000": (with_link(latency_avg_ms=10**5000),
+                         "latency for edge_to_endpoint must be finite and non-negative, got <int of 16610 bits>,5.0"),
+    "throughput 10**5000": (with_link(throughput_mbit=10**5000),
+                            "throughput for edge_to_endpoint must be finite and positive, got <int of 16610 bits>"),
 }
 
 
@@ -337,7 +352,7 @@ class TestWorkloadProfile:
 
     @pytest.mark.parametrize("field", FIELDS)
     def test_check_refuses_and_names_the_field(self, field):
-        for value in (math.nan, math.inf, -math.inf, -1.0, -5e-324):
+        for value in (math.nan, math.inf, -math.inf, -1.0, -5e-324, 10**5000):  # 10**5000 passed
             workload, name = self._with(field, value)
             with pytest.raises(ValueError) as refused:
                 workload.check()

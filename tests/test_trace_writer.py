@@ -95,6 +95,14 @@ class TestMatchesCsvWriter:
         write_trace_csv(report, buffer)
         assert buffer.getvalue().count("\r\n") == 1
 
+    def test_no_sources_writes_the_header_only(self):
+        worker = Device("edge-0", "edge", 2, 0.75, "worker")
+        report = assert_same_bytes(Topology((worker,), None, {}), DEFAULT_WORKLOAD, SimParams(duration=10.0))
+        buffer = io.StringIO(newline="")
+        write_trace_csv(report, buffer)
+        assert buffer.getvalue() == ("source,worker,index,generated_s,preprocess_s,transfer_s,propagation_s,"
+                                     "queue_wait_s,service_s,end_to_end_s,completed_s,phase\r\n")
+
     def test_signed_zeros_keep_their_sign(self):
         # -0.0 service for completed elements, 0.0 for the others
         workload = WorkloadProfile({"edge": -0.0}, 0.0, 5.0, 0.54)
