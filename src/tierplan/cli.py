@@ -94,10 +94,14 @@ def _resolve_workload(args, config: DeploymentConfig | None) -> WorkloadProfile:
     present, both overridable by flags."""
     proc = dict(DEFAULT_WORKLOAD.proc_time)
     for entry in args.tproc:
-        tier, sep, value = entry.partition("=")
-        if not sep or tier not in TIERS:
+        tier, _, value = entry.partition("=")
+        try:
+            seconds = float(value)  # without "=", value is "" and refused here
+        except ValueError:
+            seconds = None
+        if tier not in TIERS or seconds is None:
             raise CliError(EXIT_ARGUMENT, f"--tproc takes TIER=SECONDS with tier one of {', '.join(TIERS)}, got {entry!r}")
-        proc[tier] = float(value)  # a ValueError ends in exit 2, in main
+        proc[tier] = seconds
     rate = args.rate
     if rate is None:
         if config is not None and config.benchmark.data_generation_frequency > 0:
@@ -339,7 +343,7 @@ def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
     Only the means of each repeat are kept, so memory does not grow with
     repeats."""
     from .analytic import family_from_topology
-    from .simulator import mean, simulate, stdev
+    from .simulator import mean, simulate
 
     _, _, verdict = _first_offload(workload, family_from_topology(topology))
     means = []  # one tuple of _MEANS per repeat that measured an element
@@ -355,7 +359,9 @@ def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
         columns = list(zip(*means))
         row.update(zip(_MEANS, map(mean, columns)))
         if len(means) > 1:  # one mean shows no spread
-            row["latency_sd_s"] = stdev(columns[0])
+            import statistics
+
+            row["latency_sd_s"] = statistics.stdev(columns[0])
     return row
 
 

@@ -361,53 +361,6 @@ def _measured_mean(values: Callable[[], Iterable[float]], measured: Iterable[int
         return mean(array("d", itertools.compress(values(), measured)))
 
 
-def stdev(values: Sequence[float]) -> float:
-    """``statistics.stdev`` of a sequence of two or more floats, the same
-    float, from integer sums instead of ``Fraction``s.
-
-    Every value times 2**k is an integer, with k set by the smallest
-    non-zero magnitude, so the sums are exact and the sample variance is
-    the ratio (n*sum(x*x) - sum(x)**2) / (n*(n-1)*4**k).  Its square root is
-    rounded correctly, as ``statistics.stdev`` rounds it, so the two agree
-    bit for bit.  Where a scaled value would overflow a float (or a value
-    is not finite), ``statistics.stdev`` itself."""
-    n = len(values)
-    smallest = min(filter(None, map(abs, values)), default=0.0)
-    k = max(0, 53 - math.frexp(smallest)[1])
-
-    def scaled():  # streamed twice rather than held, so memory does not grow with n
-        return map(int, map(math.ldexp, values, itertools.repeat(k)))
-
-    try:
-        total = sum(scaled())
-    except (OverflowError, ValueError):  # ValueError: int(nan)
-        import statistics
-
-        return statistics.stdev(values)
-    squares = sum(map(pow, scaled(), itertools.repeat(2)))
-    return _float_sqrt_of_frac(n * squares - total * total, n * (n - 1) << 2 * k)
-
-
-def _float_sqrt_of_frac(n: int, m: int) -> float:
-    """The square root of n/m as a float, correctly rounded: a copy of
-    ``statistics._float_sqrt_of_frac`` (Python 3.11), which rounds to odd
-    at 2 * 53 + 3 bits first."""
-    q = (n.bit_length() - m.bit_length() - 109) // 2
-    if q >= 0:
-        numerator = _integer_sqrt_of_frac_rto(n, m << 2 * q) << q
-        denominator = 1
-    else:
-        numerator = _integer_sqrt_of_frac_rto(n << -2 * q, m)
-        denominator = 1 << -q
-    return numerator / denominator
-
-
-def _integer_sqrt_of_frac_rto(n: int, m: int) -> int:
-    """The square root of n/m, rounded to an integer by round-to-odd."""
-    a = math.isqrt(n // m)
-    return a | (a * a * m != n)
-
-
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
     """Run one seeded simulation and return aggregate metrics plus every
     element's stage times.
@@ -465,7 +418,11 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
     latencies = array("d", itertools.compress(_end_to_end(pre, transfer, propagation, queue_wait, service), measured))
     latency_mean_s = mean(latencies)
-    latency_sd_s = stdev(latencies) if len(latencies) > 1 else None
+    latency_sd_s = None  # one value shows no spread
+    if len(latencies) > 1:
+        import statistics  # here only, so a run without an sd never loads it
+
+        latency_sd_s = statistics.stdev(latencies)
     n_measured = len(latencies)
     del latencies  # freed before a component mean that overflows rebuilds its values
 

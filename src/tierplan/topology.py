@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
-from .config import TIERS, DeploymentConfig, TierPair, _shown, pair_key, validate, worker_plan
+from .config import MAX_DEVICES, TIERS, DeploymentConfig, TierPair, _shown, pair_key, validate, worker_plan
 
 
 class TopologyError(ValueError):
@@ -240,8 +240,10 @@ def build_topology(config: DeploymentConfig) -> Topology:
 def local_topology(count: int, cores: int = 1, quota: float = 0.5) -> Topology:
     """Endpoints that process their own elements: no preprocessing step, no
     network, each device assigned to itself."""
-    if not isinstance(count, int):
+    if not _is_int(count):
         raise TopologyError(f"local topology needs an integer endpoint count, got {_shown(count)}")
+    if not 1 <= count <= MAX_DEVICES:  # refused before any device is built
+        raise TopologyError(f"local topology needs 1 to {MAX_DEVICES} endpoints, got {_shown(count)}")
     devices = tuple(Device(f"endpoint-{i}", "endpoint", cores, quota, "worker") for i in range(count))
     topology = Topology(devices=devices, worker_link=None, assignment={d.id: (d.id,) for d in devices})
     topology.check()

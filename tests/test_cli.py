@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -108,9 +109,11 @@ class TestPredict:
         assert payload["local"]["load_percent"] == pytest.approx(40.0)
 
     def test_bad_tproc_spelling(self, capsys):
-        code, _, err = run(capsys, "predict", "edge-small", "--tproc", "fog=1")
-        assert code == EXIT_ARGUMENT
-        assert "fog" in err
+        # a bad tier and a bad number are refused alike, naming the entry
+        for entry in ("fog=1", "edge=abc", "edge=", "edge"):
+            code, _, err = run(capsys, "predict", "edge-small", "--tproc", entry)
+            assert code == EXIT_ARGUMENT, entry
+            assert f"--tproc takes TIER=SECONDS with tier one of cloud, edge, endpoint, got {entry!r}" in err
 
     def test_negative_rate(self, capsys):
         # exponent forms and -inf reach the range check as -2 does, not argparse
@@ -228,7 +231,10 @@ class TestHeatmap:
         to the command."""
         cases = [
             (["heatmap", "--json", "--resolution", "3"], ["numpy", "tierplan.simulator", "statistics"]),
-            (["simulate", "cloud", "--duration", "2", "--json"], ["numpy", "tierplan.analytic", "statistics"]),
+            (["simulate", "cloud", "--duration", "2", "--json"], ["numpy", "tierplan.analytic"]),
+            # statistics is loaded only to take an sd, which a run that measures nothing has not
+            (["simulate", "cloud", "--rate", "0", "--duration", "2", "--json"],
+             ["numpy", "tierplan.analytic", "statistics"]),
         ]
         package_root = str(Path(tierplan.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
@@ -494,6 +500,13 @@ class TestCompare:
                            "--repeats", "2", "--duration", "4")
         assert payload["manifest"]["seed"] == 100
         assert payload["manifest"]["parameters"]["repeats"] == 2
+        # no digest covers compare, so its statistics are pinned here, bit for bit
+        for row in payload["presets"]:
+            means = [run_json(capsys, "simulate", row["name"], "--json", "--seed", seed, "--duration", "4")
+                     ["report"]["latency_mean_s"] for seed in ("100", "101")]
+            assert means[0] != means[1], row["name"]  # the repeats differ, so the sd is not 0
+            assert row["latency_mean_s"] == statistics.fmean(means), row["name"]
+            assert row["latency_sd_s"] == statistics.stdev(means), row["name"]
 
 
 # JSON trees with str keys, non-ASCII ones included, and every float,

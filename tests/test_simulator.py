@@ -21,7 +21,6 @@ from tierplan.simulator import (
     _measured_mean,
     mean,
     simulate,
-    stdev,
     write_trace_csv,
 )
 from tierplan.config import load_preset, tier_pair
@@ -344,36 +343,9 @@ class TestLatencyIdentity:
         assert report.latency_mean_s == report.compute_mean_s == pytest.approx(1e308)
 
 
-def _outcome(function, values):
-    """The float's bits, or the overflow ``statistics`` raises for a spread
-    beyond the float range."""
-    try:
-        return function(values).hex()
-    except OverflowError:
-        return "OverflowError"
-
-
 class TestStatistics:
-    """``stdev`` and ``mean`` give the floats of ``statistics.stdev`` and
-    ``statistics.fmean``, bit for bit, on every finite input."""
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
-    @example([0.0, -0.0])
-    @example([5e-324, 0.0, -5e-324])
-    @example([1e300, 5e-324])  # 2**k * 1e300 overflows: the statistics.stdev fallback
-    @example([1.7e308, -1.7e308])  # a spread beyond the float range
-    def test_stdev_is_bit_for_bit_statistics_stdev(self, values):
-        expected = _outcome(statistics.stdev, values)
-        assert _outcome(stdev, values) == expected
-        assert _outcome(stdev, array("d", values)) == expected  # as simulate passes them
-
-    def test_stdev_falls_back_where_scaled_values_overflow(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(statistics, "stdev", lambda values: calls.append(values) or 1.0)
-        assert stdev([0.1, 0.2, 0.3]) != 1.0 and calls == []
-        assert stdev([1e300, 5e-324]) == 1.0 and calls == [[1e300, 5e-324]]
-        assert stdev(array("d", [1e300, 5e-324])) == 1.0 and calls[1] == array("d", [1e300, 5e-324])
+    """``mean`` gives the float of ``statistics.fmean``, bit for bit, on
+    every finite input."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))

@@ -12,6 +12,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
+from tierplan import topology as topology_module
 from tierplan.config import MAX_DEVICES, load_preset, parse_config, tier_pair, validate
 from tierplan.simulator import SimParams, simulate
 from tierplan.topology import (
@@ -296,11 +297,28 @@ def test_local_topology_is_self_assigned():
 
 
 def test_local_topology_refuses_what_check_refuses():
-    for count, message in ((0, "topology has no workers"), (2.5, "integer endpoint count, got 2.5")):
+    for count, message in ((0, "1 to 1000000 endpoints, got 0"), (2.5, "integer endpoint count, got 2.5")):
         with pytest.raises(TopologyError, match=message):
             local_topology(count)
     with pytest.raises(TopologyError, match="needs integer cores >= 1 and a quota in"):
         local_topology(2, quota=0.0)
+
+
+def test_local_topology_refuses_a_bad_count_before_building(monkeypatch):
+    """A count that is a bool, not an int, or outside 1..MAX_DEVICES is
+    refused by name before any device exists, so an oversize one costs
+    neither time nor memory."""
+    def no_device(*args):
+        raise AssertionError("a device was built")
+
+    monkeypatch.setattr(topology_module, "Device", no_device)
+    for count, message in ((True, "integer endpoint count, got True"), ("3", "integer endpoint count, got '3'"),
+                           (-1, "1 to 1000000 endpoints, got -1"),
+                           (MAX_DEVICES + 1, "1 to 1000000 endpoints, got 1000001"),
+                           (10**5000, "1 to 1000000 endpoints, got <int of 16610 bits>")):
+        with pytest.raises(TopologyError) as refused:
+            local_topology(count)
+        assert str(refused.value).endswith(message), count
 
 
 def test_build_is_deterministic():
