@@ -334,35 +334,25 @@ def cmd_simulate(args) -> int:
     return _emit(args, body)
 
 
-_MEANS = ("latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")
-
-
 def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
                     params: SimParams, repeats: int) -> dict:
-    """One row of the comparison: ``repeats`` runs from ``params.seed`` on.
-    Only the means of each repeat are kept, so memory does not grow with
-    repeats."""
+    """One row of the comparison: ``repeats`` runs from ``params.seed`` on,
+    summarised by ``latency_summary`` over the means of the repeats that
+    measured an element.  Only those means are kept, so memory does not
+    grow with repeats."""
     from .analytic import family_from_topology
-    from .simulator import mean, simulate
+    from .simulator import latency_summary, simulate
 
     _, _, verdict = _first_offload(workload, family_from_topology(topology))
-    means = []  # one tuple of _MEANS per repeat that measured an element
+    means = []  # (latency, communication, compute, queueing) means per repeat that measured an element
     for i in range(repeats):
         report = simulate(topology, workload, replace(params, seed=params.seed + i))
         if report.measured:
-            means.append(tuple(getattr(report, key) for key in _MEANS))
+            means.append((report.latency_mean_s, report.communication_mean_s, report.compute_mean_s,
+                          report.queueing_mean_s))
         del report  # free it before the next repeat is simulated
-
-    row = {"name": name, "analytic_load_percent": verdict.load_percent, "repeats": repeats,
-           "latency_sd_s": None, **dict.fromkeys(_MEANS)}
-    if means:  # only repeats that measured an element have latencies to average
-        columns = list(zip(*means))
-        row.update(zip(_MEANS, map(mean, columns)))
-        if len(means) > 1:  # one mean shows no spread
-            import statistics
-
-            row["latency_sd_s"] = statistics.stdev(columns[0])
-    return row
+    return {"name": name, "analytic_load_percent": verdict.load_percent, "repeats": repeats,
+            **latency_summary(*(zip(*means) if means else [()] * 4))}
 
 
 def cmd_compare(args) -> int:

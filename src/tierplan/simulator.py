@@ -349,16 +349,24 @@ def mean(values: Sequence[float]) -> float | None:
         return statistics.mean(values)
 
 
-def _measured_mean(values: Callable[[], Iterable[float]], measured: Iterable[int], n: int) -> float | None:
-    """``mean`` of the ``n`` of ``values()`` that ``measured`` keeps, the
-    same float, summed straight from the iterator; the values are built
-    only where that sum overflows."""
-    if not n:
-        return None
-    try:
-        return math.fsum(itertools.compress(values(), measured)) / n
-    except OverflowError:
-        return mean(array("d", itertools.compress(values(), measured)))
+def latency_summary(latencies: Iterable[float], communication: Iterable[float],
+                    compute: Iterable[float], queueing: Iterable[float]) -> dict[str, float | None]:
+    """The latency statistics of a report: ``latency_mean_s`` and
+    ``latency_sd_s`` of ``latencies``, then the ``mean`` of each component.
+    The sd is ``statistics.stdev``, None below two values; a mean is None
+    for none.  Each iterable is read into one array, dropped before the
+    next is read, so one array is alive at a time."""
+    values = array("d", latencies)
+    summary = {"latency_mean_s": mean(values), "latency_sd_s": None}
+    if len(values) > 1:  # one value shows no spread
+        import statistics  # here only, so a summary without an sd never loads it
+
+        summary["latency_sd_s"] = statistics.stdev(values)
+    del values
+    for key, component in (("communication_mean_s", communication), ("compute_mean_s", compute),
+                           ("queueing_mean_s", queueing)):
+        summary[key] = mean(array("d", component))
+    return summary
 
 
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
@@ -416,26 +424,15 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
     pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in (
         columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
-    latencies = array("d", itertools.compress(_end_to_end(pre, transfer, propagation, queue_wait, service), measured))
-    latency_mean_s = mean(latencies)
-    latency_sd_s = None  # one value shows no spread
-    if len(latencies) > 1:
-        import statistics  # here only, so a run without an sd never loads it
-
-        latency_sd_s = statistics.stdev(latencies)
-    n_measured = len(latencies)
-    del latencies  # freed before a component mean that overflows rebuilds its values
 
     return SimReport(
         params=params,
         generated=n,
         completed=phase_counts["done"],
-        measured=n_measured,
-        latency_mean_s=latency_mean_s,
-        latency_sd_s=latency_sd_s,
-        communication_mean_s=_measured_mean(lambda: map(add, transfer, propagation), measured, n_measured),
-        compute_mean_s=_measured_mean(lambda: map(add, pre, service), measured, n_measured),
-        queueing_mean_s=_measured_mean(lambda: queue_wait, measured, n_measured),
+        measured=columns.phase.count(_DONE, warming),
+        **latency_summary(*(itertools.compress(values, measured) for values in (
+            _end_to_end(pre, transfer, propagation, queue_wait, service), map(add, transfer, propagation),
+            map(add, pre, service), queue_wait))),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,

@@ -235,6 +235,8 @@ class TestHeatmap:
             # statistics is loaded only to take an sd, which a run that measures nothing has not
             (["simulate", "cloud", "--rate", "0", "--duration", "2", "--json"],
              ["numpy", "tierplan.analytic", "statistics"]),
+            (["compare", "cloud", "mist", "--rate", "0", "--repeats", "2", "--duration", "2", "--json"],
+             ["numpy", "statistics"]),
         ]
         package_root = str(Path(tierplan.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
@@ -502,11 +504,14 @@ class TestCompare:
         assert payload["manifest"]["parameters"]["repeats"] == 2
         # no digest covers compare, so its statistics are pinned here, bit for bit
         for row in payload["presets"]:
-            means = [run_json(capsys, "simulate", row["name"], "--json", "--seed", seed, "--duration", "4")
-                     ["report"]["latency_mean_s"] for seed in ("100", "101")]
+            reports = [run_json(capsys, "simulate", row["name"], "--json", "--seed", seed, "--duration", "4")
+                       ["report"] for seed in ("100", "101")]
+            means = [report["latency_mean_s"] for report in reports]
             assert means[0] != means[1], row["name"]  # the repeats differ, so the sd is not 0
             assert row["latency_mean_s"] == statistics.fmean(means), row["name"]
             assert row["latency_sd_s"] == statistics.stdev(means), row["name"]
+            for key in ("communication_mean_s", "compute_mean_s", "queueing_mean_s"):
+                assert row[key] == statistics.fmean(report[key] for report in reports), (row["name"], key)
 
 
 # JSON trees with str keys, non-ASCII ones included, and every float,

@@ -243,6 +243,19 @@ WRONG_TYPES = [
      "device count for cloud must be a non-negative integer, got True"),
     ({"devices_per_tier": (1, "10", 20)}, "devices_per_tier",
      "device count for edge must be a non-negative integer, got '10'"),
+    ({"cores_per_device": (4, 0, 1)}, "cores_per_device", "edge tier has 10 devices but no cores per device"),
+    # ints too long for repr are shown by their bit length, inside a list, tuple or mapping too
+    ({"cores_per_device": [10**5000, 0, 1]}, "cores_per_device",
+     "cores_per_device must be a tuple of 3 values, got [<int of 16610 bits>, 0, 1]"),
+    ({"devices_per_tier": (10**5000, 0)}, "devices_per_tier",
+     "devices_per_tier must be a tuple of 3 values, got (<int of 16610 bits>, 0)"),
+]
+# link mappings of the wrong shape; the validator kept as the oracle of
+# tests/test_config_table.py predates the shape check and raises on them
+WRONG_MAPPINGS = [
+    ({"latency": {("fog", "x"): 10**5000}}, "latency",
+     "latency must be a mapping keyed by canonical tier pairs, got {('fog', 'x'): <int of 16610 bits>}"),
+    ({"latency": {10**5000}}, "latency", "latency must be a mapping keyed by canonical tier pairs, got <set>"),
 ]
 WRITABLE_TEXT = [
     {"application": "x"}, {"application": "a b"}, {"application": ""}, {"application": "a=b # c"},
@@ -260,7 +273,7 @@ class TestTextValues:
         (key,) = changes
         assert [d.key for d in errors_of(validate(replaced(TEXT_BASE, **changes)))] == [key]
 
-    @pytest.mark.parametrize("changes, key, message", WRONG_TYPES)
+    @pytest.mark.parametrize("changes, key, message", WRONG_TYPES + WRONG_MAPPINGS)
     def test_a_value_of_the_wrong_type_is_an_error(self, changes, key, message):
         assert [(d.key, d.message) for d in errors_of(validate(replaced(TEXT_BASE, **changes)))] == [(key, message)]
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import statistics
 import tracemalloc
 from array import array
@@ -18,7 +17,7 @@ from tierplan.config import parse_config
 from tierplan.simulator import (
     PHASES,
     SimParams,
-    _measured_mean,
+    latency_summary,
     mean,
     simulate,
     write_trace_csv,
@@ -345,7 +344,8 @@ class TestLatencyIdentity:
 
 class TestStatistics:
     """``mean`` gives the float of ``statistics.fmean``, bit for bit, on
-    every finite input."""
+    every finite input, and ``latency_summary`` the float of ``mean`` and
+    of ``statistics.stdev``."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
@@ -359,15 +359,18 @@ class TestStatistics:
         assert mean(array("d", values)).hex() == expected.hex()  # as simulate passes them
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.booleans()), max_size=40))
-    @example([(1e308, True), (1.0, False), (1e308, True)])  # fsum overflows: the values are rebuilt
-    def test_measured_mean_is_the_mean_of_the_kept_values(self, pairs):
-        values = array("d", (value for value, _ in pairs))
-        keep = bytearray(kept for _, kept in pairs)
-        kept = array("d", itertools.compress(values, keep))
-        # memoryviews over the columns, as simulate passes them
-        measured_mean = _measured_mean(lambda: memoryview(values), memoryview(keep), len(kept))
-        assert repr(measured_mean) == repr(mean(kept))
+    @given(st.lists(st.lists(st.floats(min_value=0.0, allow_infinity=False), max_size=40), min_size=4, max_size=4))
+    @example([[], [], [], []])  # nothing measured: no mean
+    @example([[0.5], [0.25], [0.0], [0.25]])  # one value: no sd
+    @example([[0.5, 0.25], [1e308, 1e308], [0.0, 0.0], [0.25, 0.0]])  # a component's sum overflows
+    def test_latency_summary_is_mean_and_stdev(self, columns):
+        """The latencies' mean and sd, then each component's mean, from
+        durations as ``simulate`` measures them."""
+        summary = latency_summary(*map(iter, columns))  # iterators, as simulate passes them
+        latencies = columns[0]
+        assert repr(summary.pop("latency_sd_s")) == repr(statistics.stdev(latencies) if len(latencies) > 1 else None)
+        assert list(summary) == ["latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s"]
+        assert list(map(repr, summary.values())) == [repr(mean(values) if values else None) for values in columns]
 
 
 class TestParams:
