@@ -5,11 +5,9 @@ averaged into a latency breakdown. Shows why the edge deployments answer
 faster than the cloud even though the cloud runs at lower load.
 """
 
-import statistics
-
 from tierplan.analytic import family_from_topology, offload_viability
 from tierplan.config import PRESET_NAMES, load_preset
-from tierplan.simulator import SimParams, simulate
+from tierplan.simulator import SimParams, latency_summary, simulate
 from tierplan.topology import DEFAULT_WORKLOAD, build_topology
 
 REPEATS = 3
@@ -34,11 +32,9 @@ def main() -> None:
 
         runs = [simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=DURATION, seed=BASE_SEED + i))
                 for i in range(REPEATS)]
-        total = statistics.fmean(r.latency_mean_s for r in runs) * 1000
-        sd = statistics.stdev([r.latency_mean_s for r in runs]) * 1000
-        comm = statistics.fmean(r.communication_mean_s for r in runs) * 1000
-        compute = statistics.fmean(r.compute_mean_s for r in runs) * 1000
-        queue = statistics.fmean(r.queueing_mean_s for r in runs) * 1000
+        summary = latency_summary(*zip(*((r.latency_mean_s, r.communication_mean_s, r.compute_mean_s,
+                                          r.queueing_mean_s) for r in runs)))
+        total, sd, comm, compute, queue = (value * 1000 for value in summary.values())
 
         print(f"{name:<12}{verdict.load_percent:>8.1f}  {total:>9.1f}{sd:>6.2f}  "
               f"{comm:>7.1f}{compute:>9.1f}{queue:>7.1f}")

@@ -36,16 +36,17 @@ shared timelines, so ``simulate`` rejects two topologies that
 preprocessing times or endpoint cores, and (through ``Topology.check``) a
 worker that processes its own elements and other sources' too.
 
-Per-element results are kept as columns (one ``array('d')`` per duration
-and for the completion time, NaN where an element is not done, and one
-``bytearray`` of indices into ``PHASES``); records are built only for
-``SimReport.elements``, and ``write_trace_csv`` formats the
-columns a chunk of rounds at a time, the second half of the chunks in a
-forked child where it can.  Each element carries five duration
-components (preprocess, transfer, propagation, queue wait, service);
-waiting for the endpoint CPU counts into preprocess and waiting for the
-link into transfer.  End-to-end latency is defined as the exact sum of the
-five components.
+A run is kept as columns (``_Columns``): the timeline as one
+``array('d')`` per round; the five duration components of each element
+(preprocess, transfer, propagation, queue wait, service) as one tuple of
+``array('d')`` in ``ElementRecord`` order; the completion time as one
+``array('d')``, NaN where an element is not done; and one ``bytearray`` of
+indices into ``PHASES``.  Records are built only for
+``SimReport.elements``, and ``write_trace_csv`` formats the columns a
+chunk of rounds at a time, the second half of the chunks in a forked child
+where it can.  Waiting for the endpoint CPU counts into preprocess and
+waiting for the link into transfer.  End-to-end latency is defined as the
+exact sum of the five components.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import marshal
 import math
 import os
 import random
+import sys
 import tempfile
 import threading
 from array import array
@@ -132,20 +134,15 @@ class _Columns:
     ``k`` of the source at that rank (the order elements are generated in)."""
 
     sources: list[tuple[str, str]]   # (source id, worker id) by rank
-    generated: list[float]           # per round
-    preprocess: array                # array('d') per element, as the next four
-    transfer: array
-    propagation: array
-    queue_wait: array
-    service: array
+    generated: array                 # array('d') per round
+    durations: tuple[array, ...]     # array('d') per element of each ElementRecord duration, in its order
     completed: array                 # NaN where the element is not done
     phase: bytearray                 # index into PHASES
 
     def rows(self) -> Iterator[tuple]:
         """ElementRecord fields of every element, in generation order."""
         ends = (end if code == _DONE else None for end, code in zip(self.completed, self.phase))
-        values = zip(self.preprocess, self.transfer, self.propagation, self.queue_wait,
-                     self.service, ends, map(PHASES.__getitem__, self.phase))
+        values = zip(*self.durations, ends, map(PHASES.__getitem__, self.phase))
         for index, generated in enumerate(self.generated):
             for source, worker in self.sources:
                 yield (source, worker, index, generated, *next(values))
@@ -192,25 +189,21 @@ def estimated_elements(sources: int, rate: float, params: SimParams) -> float:
     """About how many elements a run of ``sources`` endpoints generates:
     sources x min(max_elements, duration x rate + 1), the count
     ``simulate`` holds to ``MAX_ELEMENTS``."""
-    per_source = params.duration * rate + 1 if rate > 0 else 0
+    per_source = float(params.duration) * rate + 1 if rate > 0 else 0
     if params.max_elements is not None:
         per_source = min(per_source, params.max_elements)
     return sources * per_source
 
 
-def _generation_times(rate: float, duration: float, max_elements: int | None) -> list[float]:
-    """0.0, then every 1/rate seconds while before the duration, at most
-    max_elements of them."""
+def _generation_times(rate: float, duration: float, max_elements: int | None) -> array:
+    """0.0, then every 1/rate seconds (the interval added up in sequence)
+    while before the duration, at most max_elements of them.  islice takes
+    no stop beyond sys.maxsize, which no run within the budget reaches."""
     if rate == 0:
-        return []
-    interval, cap = 1.0 / rate, math.inf if max_elements is None else max_elements
-    times, t = [0.0], 0.0
-    while len(times) < cap:
-        t = t + interval
-        if not t < duration:
-            break
-        times.append(t)
-    return times
+        return array("d")
+    times = itertools.accumulate(itertools.repeat(1.0 / rate), initial=0.0)
+    cap = sys.maxsize if max_elements is None else min(max_elements, sys.maxsize)
+    return array("d", itertools.islice(itertools.takewhile(lambda t: t < duration, times), cap))
 
 
 def _assign(topology: Topology, workload: WorkloadProfile
@@ -284,15 +277,16 @@ def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: flo
     pre_values = array("d", [d - gk for d, gk in zip(prepared, g)])
     transfer_values = array("d", [x - d for x, d in zip(sent, prepared)])
     transferring, in_transit = bytes([_TRANSFER]) * len(prepared), bytes([_TRANSIT]) * len(sent)
+    preprocess, transfer, propagation = columns.durations[:3]
     for rank in offloaded:
-        columns.preprocess[rank:n_pre:n_sources] = pre_values
+        preprocess[rank:n_pre:n_sources] = pre_values
         columns.phase[rank:n_pre:n_sources] = transferring
-        columns.transfer[rank:n_sent:n_sources] = transfer_values
+        transfer[rank:n_sent:n_sources] = transfer_values
         columns.phase[rank:n_sent:n_sources] = in_transit
 
     avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
     uniform = random.Random(seed).random
-    propagation, m = columns.propagation, len(offloaded)
+    m = len(offloaded)
     for k, x in enumerate(sent):  # in transmit order: round, then rank
         base = k * n_sources
         delays = [avg_s] * m if sd_s == 0 else _truncated_normal(uniform, avg_s, sd_s, m)
@@ -306,7 +300,8 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
     """Pass one worker's arrivals, in ``order``, through its cores; record
     each element's wait, service, completion and phase.  Returns the number
     of arrivals from warmup on and the core-seconds spent after warmup."""
-    phase, queue_wait, service, completed = columns.phase, columns.queue_wait, columns.service, columns.completed
+    phase, completed = columns.phase, columns.completed
+    queue_wait, service = columns.durations[3:]
     arrivals = list(map(arrival.__getitem__, order))
     starts = _fifo(arrivals, cores, s, duration)
     busy = 0.0
@@ -390,9 +385,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         raise ValueError(f"the run would generate about {estimate:.3g} elements, "
                          f"more than the budget of {MAX_ELEMENTS}")
 
-    g = _generation_times(rate, duration, params.max_elements) if n_sources else []
+    g = _generation_times(rate, duration, params.max_elements) if n_sources else array("d")
     n = len(g) * n_sources
-    columns = _Columns(sources, g, *(array("d", [0.0]) * n for _ in range(5)), array("d", [math.nan]) * n,
+    columns = _Columns(sources, g, tuple(array("d", [0.0]) * n for _ in range(5)), array("d", [math.nan]) * n,
                        bytearray(n))
     arrival = array("d", [math.inf]) * n
     if offloaded:
@@ -404,12 +399,12 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     for worker, proc in workers:
         assigned = ranks[worker.id]
         if assigned and sources[assigned[0]][0] == worker.id:
-            arrival[assigned[0]::n_sources] = array("d", g)  # its own elements arrive as generated
+            arrival[assigned[0]::n_sources] = g  # its own elements arrive as generated
         order = [base + rank for base in range(0, n, n_sources or 1) for rank in assigned  # n is 0 without sources
                  if arrival[base + rank] <= duration]
         order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
         arrived, busy = _serve(columns, order, arrival, worker.cores, proc / worker.quota, duration, warmup)
-        worker_load[worker.id] = arrived * proc / window / capacity_of(worker) * 100.0
+        worker_load[worker.id] = arrived * float(proc) / window / capacity_of(worker) * 100.0
         worker_busy[worker.id] = busy / (window * worker.cores)
     del arrival
 
@@ -422,8 +417,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
 
     # the measured elements: done, and generated from warmup on
     measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
-    pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in (
-        columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
+    pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in columns.durations)
 
     return SimReport(
         params=params,
@@ -473,8 +467,7 @@ def _format_rounds(columns: _Columns, prefixes: list[str], k0: int, k1: int) -> 
     n_sources = len(prefixes)
     heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k1], k0)]
     lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
-    pre, tx, prop, wait, svc = (column[lo:hi].tolist() for column in (
-        columns.preprocess, columns.transfer, columns.propagation, columns.queue_wait, columns.service))
+    pre, tx, prop, wait, svc = (column[lo:hi].tolist() for column in columns.durations)
     codes = columns.phase[lo:hi]
     sums = _end_to_end(pre, tx, prop, wait, svc)
     total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import statistics
 import tracemalloc
 from array import array
@@ -17,6 +18,7 @@ from tierplan.config import parse_config
 from tierplan.simulator import (
     PHASES,
     SimParams,
+    _generation_times,
     latency_summary,
     mean,
     simulate,
@@ -32,6 +34,8 @@ from tierplan.topology import (
     build_topology,
     local_topology,
 )
+
+from timeline_oracle import generation_times
 
 # one cloud worker with a single full-speed core, two endpoints, no network
 # delay: arrivals hit a plain FIFO single-server queue
@@ -463,6 +467,40 @@ class TestParams:
                           SimParams(duration=5.0))
         assert report.generated == 0
         assert report.latency_mean_s is None
+
+    def test_huge_int_duration_is_refused_by_the_budget(self):
+        """An int duration times an int rate was an exact int that the
+        budget message could not format: OverflowError."""
+        workload = WorkloadProfile(DEFAULT_WORKLOAD.proc_time, 0.001, 10, 0.54)
+        with pytest.raises(ValueError, match="about inf elements"):
+            simulate(build_topology(load_preset("cloud")), workload, SimParams(duration=10**308))
+
+    def test_huge_int_processing_time_loads_inf(self):
+        """The arrivals times an int processing time was an exact int too
+        large to divide by the window as a float: OverflowError."""
+        report = simulate(local_topology(1), WorkloadProfile({"endpoint": 10**308}, 0, 5, 0), SimParams(duration=4))
+        assert report.worker_load_percent == {"endpoint-0": math.inf}
+
+    def test_a_cap_beyond_sys_maxsize_caps_nothing(self):
+        topology = build_topology(load_preset("mist"))
+        capped = simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=4, max_elements=10**30))
+        assert capped.generated == 200
+        assert capped.to_dict() == simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=4)).to_dict()
+
+
+class TestTimeline:
+    """``_generation_times`` gives the floats of the loop it replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(rate=st.one_of(st.integers(0, 1000), st.floats(0.0, 1000.0)),
+           duration=st.one_of(st.integers(1, 100), st.floats(1e-3, 100.0)),
+           cap=st.one_of(st.none(), st.integers(1, 50), st.just(10**30)))
+    @example(rate=0, duration=5, cap=None)
+    @example(rate=10, duration=1, cap=None)  # 0.1 added up ten times falls short of 1
+    @example(rate=3.0, duration=1e-3, cap=10**30)
+    def test_same_floats_as_the_loop(self, rate, duration, cap):
+        assert list(map(repr, _generation_times(rate, duration, cap))) == \
+            list(map(repr, generation_times(rate, duration, cap)))
 
 
 def test_columns_stay_small_per_element():
