@@ -66,9 +66,6 @@ class ConditionCheck:
     capacity: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -84,7 +81,7 @@ class Verdict:
             "failed_conditions": list(self.failed_conditions),
             "load_percent": self.load_percent,
             "required_bandwidth_mbit": self.required_bandwidth,
-            "checks": [check.to_dict() for check in self.checks],
+            "checks": list(map(asdict, self.checks)),
         }
 
 

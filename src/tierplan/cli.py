@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, replace
@@ -64,13 +65,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
-
-
-def _write_text(path: str, body: str) -> None:
-    try:
-        Path(path).write_text(body, encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from None
 
 
 def _load_target(target: str) -> tuple[DeploymentConfig, str | None, Topology]:
@@ -128,15 +122,15 @@ def _workload_dict(workload: WorkloadProfile) -> dict:
 
 
 def _manifest(command: str, *, seed: int | None = None, preset: str | None = None,
-              config: DeploymentConfig | None = None, config_text: str | None = None,
-              workload: WorkloadProfile | None = None, parameters: dict | None = None) -> dict:
+              config_text: str | None = None, workload: WorkloadProfile | None = None,
+              parameters: dict | None = None) -> dict:
     data = {
         "command": command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "seed": seed,
         "preset": preset,
-        "config_text": render_config(config) if config is not None else config_text,
+        "config_text": config_text,
         "workload": _workload_dict(workload) if workload is not None else None,
     }
     if parameters:
@@ -146,13 +140,24 @@ def _manifest(command: str, *, seed: int | None = None, preset: str | None = Non
 
 def _emit(args, body: str) -> int:
     """Write the body to ``--out`` as UTF-8, else to stdout in the locale's
-    codec, escaping what it cannot encode as stderr does."""
-    if args.out:
-        _write_text(args.out, body)
-    else:
-        if isinstance(sys.stdout, io.TextIOWrapper):
-            sys.stdout.reconfigure(errors="backslashreplace")
-        sys.stdout.write(body)
+    codec, escaping what it cannot encode as stderr does.  A stdout that is
+    closed (``None``) or fails, such as ``/dev/full``, is an I/O error, as
+    an unwritable ``--out`` is."""
+    try:
+        if args.out:
+            Path(args.out).write_text(body, encoding="utf-8")
+        elif sys.stdout is None:
+            raise OSError("it is closed")
+        else:
+            if isinstance(sys.stdout, io.TextIOWrapper):
+                sys.stdout.reconfigure(errors="backslashreplace")
+            sys.stdout.write(body)
+            sys.stdout.flush()  # here, not at exit, so a failed write has an exit code
+    except OSError as exc:
+        if not args.out and sys.stdout is not None and sys.stdout is sys.__stdout__:
+            # its buffer keeps what failed, which the flush at exit would retry (exit 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(EXIT_IO, f"cannot write {args.out or 'standard output'}: {exc}") from None
     return EXIT_OK
 
 
@@ -207,7 +212,7 @@ def cmd_validate(args) -> int:
     ok = config is not None
     if args.json:
         payload = {
-            "manifest": _manifest("validate", config=config, config_text=text),
+            "manifest": _manifest("validate", config_text=render_config(config) if ok else text),
             "ok": ok,
             "diagnostics": list(map(asdict, diagnostics)),
         }
@@ -251,7 +256,7 @@ def cmd_predict(args) -> int:
 
     # the JSON body on both paths, so the text refuses what JSON cannot hold
     body = _json_body({
-        "manifest": _manifest("predict", preset=preset, config=config, workload=workload),
+        "manifest": _manifest("predict", preset=preset, config_text=render_config(config), workload=workload),
         "local": local.to_dict(),
         "offload": {"placement": placement, **offload.to_dict()},
     })
@@ -276,10 +281,11 @@ def cmd_heatmap(args) -> int:
     spec = GridSpec(rate_max=args.rmax, proc_max=args.tmax,
                     rate_steps=args.resolution, proc_steps=args.resolution)
     if args.target is None:
-        config, preset = None, None
+        config, preset, config_text = None, None, "reference family"
         family = reference_family()
     else:
         config, preset, topology = _load_target(args.target)
+        config_text = render_config(config)
         family = family_from_topology(topology)
     workload = _resolve_workload(args, config)
 
@@ -290,9 +296,7 @@ def cmd_heatmap(args) -> int:
         for label, rate, proc in REFERENCE_MARKERS
     ]
     manifest = _manifest(
-        "heatmap", preset=preset, config=config,
-        config_text=None if config is not None else "reference family",
-        workload=workload,
+        "heatmap", preset=preset, config_text=config_text, workload=workload,
         parameters={"rate_max": args.rmax, "proc_max": args.tmax, "resolution": args.resolution},
     )
     if args.json:
@@ -312,13 +316,12 @@ def cmd_simulate(args) -> int:
 
     config, preset, topology = _load_target(args.target)
     workload = _resolve_workload(args, config)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed,
+    params = SimParams(duration=args.duration, warmup=args.warmup, seed=args.seed,
                        max_elements=args.max_elements)
     report = simulate(topology, workload, params)
 
     manifest = _manifest(
-        "simulate", seed=seed, preset=preset, config=config, workload=workload,
+        "simulate", seed=args.seed, preset=preset, config_text=render_config(config), workload=workload,
         parameters={"duration": args.duration, "warmup": params.warmup_s,
                     "max_elements": args.max_elements},
     )
@@ -362,8 +365,7 @@ def cmd_compare(args) -> int:
         raise CliError(EXIT_ARGUMENT, "compare needs at least two presets")
     if args.repeats < 1:
         raise CliError(EXIT_ARGUMENT, f"--repeats must be at least 1, got {args.repeats}")
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    params = SimParams(duration=args.duration, warmup=args.warmup, seed=seed)
+    params = SimParams(duration=args.duration, warmup=args.warmup, seed=args.seed)
     runs = []  # (topology, workload) per preset
     for name in args.presets:
         config, _, topology = _load_target(name)
@@ -384,7 +386,7 @@ def cmd_compare(args) -> int:
     rows = [_preset_summary(name, topology, workload, params, args.repeats)
             for name, (topology, workload) in zip(args.presets, runs)]
     manifest = _manifest(
-        "compare", seed=seed,
+        "compare", seed=args.seed,
         parameters={"presets": list(args.presets), "repeats": args.repeats,
                     "duration": args.duration, "warmup": args.warmup,
                     "workloads": {name: _workload_dict(w) for name, (_, w) in zip(args.presets, runs)}},
@@ -411,7 +413,7 @@ def cmd_compare(args) -> int:
             f"{ms(row['communication_mean_s'])}  {ms(row['compute_mean_s'], 10)}  "
             f"{ms(row['queueing_mean_s'])}"
         )
-    lines.append(f"({args.repeats} runs per preset, seeds {seed}..{seed + args.repeats - 1}, "
+    lines.append(f"({args.repeats} runs per preset, seeds {args.seed}..{args.seed + args.repeats - 1}, "
                  f"{args.duration:g} s each)")
     return _emit(args, "\n".join(lines) + "\n")
 
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int,
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"random seed of simulate and compare (default {DEFAULT_SEED}); "
                              "the other commands draw nothing, ignore it and record a null seed")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
@@ -456,6 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--rate", type=float, metavar="HZ",
                           help="elements generated per second per endpoint")
     workload.add_argument("--size", type=float, metavar="MBIT", help="element size in Mbit")
+
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--duration", type=float, default=40.0, help="simulated seconds per run")
+    run.add_argument("--warmup", type=float, help="seconds excluded from metrics (default 10%%)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -477,22 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=21, help="samples per axis")
     p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("simulate", parents=[common, workload],
+    p = sub.add_parser("simulate", parents=[common, workload, run],
                        help="discrete-event simulation of one deployment")
     p.add_argument("target", metavar="TARGET", help="preset name or config file path")
-    p.add_argument("--duration", type=float, default=40.0, help="simulated seconds")
-    p.add_argument("--warmup", type=float, help="seconds excluded from metrics (default 10%%)")
     p.add_argument("--max-elements", type=int, help="per-endpoint cap on generated elements")
     p.add_argument("--trace", metavar="PATH", help="also write a per-element CSV trace")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("compare", parents=[common, workload],
+    p = sub.add_parser("compare", parents=[common, workload, run],
                        help="repeated simulations across presets, side by side")
     p.add_argument("presets", nargs="+", metavar="PRESET", choices=PRESET_NAMES,
                    help=f"presets to compare ({', '.join(PRESET_NAMES)})")
     p.add_argument("--repeats", type=int, default=3, help="seeded repetitions per preset")
-    p.add_argument("--duration", type=float, default=40.0, help="simulated seconds per run")
-    p.add_argument("--warmup", type=float, help="seconds excluded from metrics (default 10%%)")
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -505,12 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # a ValueError is an input the library refused
         print(f"tierplan {args.command}: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:  # an input the library refused
-        print(f"tierplan {args.command}: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
+        return exc.code if isinstance(exc, CliError) else EXIT_ARGUMENT
 
 
 if __name__ == "__main__":

@@ -43,6 +43,16 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_process(argv, *, prefix=(), env=(), **kwargs):
+    """Run the CLI in a new interpreter, after ``prefix`` (a shell wrapper,
+    say), with ``env`` over this environment."""
+    package_root = str(Path(tierplan.__file__).resolve().parents[1])
+    env = {**os.environ, **dict(env),
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([*prefix, sys.executable, "-m", "tierplan.cli", *argv], text=True, timeout=60,
+                          env=env, **kwargs)
+
+
 class TestValidate:
     def test_warnings_only_exits_zero(self, capsys, full_config_file):
         code, out, _ = run(capsys, "validate", str(full_config_file))
@@ -583,11 +593,8 @@ class TestEncoding:
     @staticmethod
     def ascii_locale_cli(*argv):
         """Run the CLI in a new interpreter whose locale codec is ascii."""
-        package_root = str(Path(tierplan.__file__).resolve().parents[1])
-        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-               "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-m", "tierplan.cli", *argv], capture_output=True, text=True,
-                              timeout=60, env=env)
+        return run_process(argv, env={"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                           capture_output=True)
 
     def test_utf8_under_an_ascii_locale(self, tmp_path):
         # the locale's ascii codec read the file: exit 4, "'ascii' codec can't decode"
@@ -661,3 +668,46 @@ class TestParsing:
         out = capsys.readouterr().out
         for name in ("validate", "predict", "heatmap", "simulate", "compare"):
             assert name in out
+
+    def test_simulate_and_compare_share_the_run_defaults(self):
+        parser = cli.build_parser()
+        for argv in (["simulate", "mist"], ["compare", "cloud", "mist"]):
+            args = parser.parse_args(argv)
+            assert (args.duration, args.warmup, args.seed) == (40.0, None, 42), argv
+
+
+_EVERY_COMMAND = [
+    ("validate", str(TestEncoding.BASELINE)),
+    ("predict", "edge-small"),
+    ("heatmap", "--resolution", "3"),
+    ("simulate", "mist", "--duration", "2"),
+    ("compare", "cloud", "mist", "--repeats", "2", "--duration", "2"),
+]
+
+
+class TestStdoutFailure:
+    """A stdout that cannot be written is an I/O error, exit 4 with one
+    line on stderr.  It was a traceback and exit 1: ``OSError`` from a full
+    device, ``AttributeError`` on the ``None`` of a closed stdout."""
+
+    @staticmethod
+    def assert_io_error(process, command):
+        assert process.returncode == EXIT_IO, process.stderr
+        assert process.stderr.startswith(f"tierplan {command}: cannot write standard output: ")
+        assert process.stderr.count("\n") == 1 and "Traceback" not in process.stderr
+
+    # Unbuffered, the write fails; buffered, the flush fails, and what stays
+    # in the buffer must not fail a second time at exit (exit 120).
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_full_device(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            process = run_process(argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=full, stderr=subprocess.PIPE)
+            self.assert_io_error(process, argv[0])
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
+    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_closed_stdout(self, argv):
+        closed = run_process(argv, prefix=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
+        self.assert_io_error(closed, argv[0])
