@@ -138,6 +138,24 @@ def _manifest(command: str, *, seed: int | None = None, preset: str | None = Non
     return data
 
 
+def _drop_buffer(stream) -> None:
+    """After a failed write to the interpreter's own stdout or stderr, point
+    its descriptor at ``os.devnull``: its buffer keeps what failed, which
+    the flush at exit would retry and fail (exit 120)."""
+    if stream is not None and stream in (sys.__stdout__, sys.__stderr__):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _complain(text: str) -> None:
+    """Write ``text`` to stderr and flush it.  A stderr that is closed
+    (``None``) or fails loses the text, not the exit code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        _drop_buffer(sys.stderr)
+
+
 def _emit(args, body: str) -> int:
     """Write the body to ``--out`` as UTF-8, else to stdout in the locale's
     codec, escaping what it cannot encode as stderr does.  A stdout that is
@@ -154,9 +172,8 @@ def _emit(args, body: str) -> int:
             sys.stdout.write(body)
             sys.stdout.flush()  # here, not at exit, so a failed write has an exit code
     except OSError as exc:
-        if not args.out and sys.stdout is not None and sys.stdout is sys.__stdout__:
-            # its buffer keeps what failed, which the flush at exit would retry (exit 120)
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not args.out:
+            _drop_buffer(sys.stdout)
         raise CliError(EXIT_IO, f"cannot write {args.out or 'standard output'}: {exc}") from None
     return EXIT_OK
 
@@ -504,11 +521,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        _complain("")  # argparse ignores a usage message it failed to write, but the flush at exit would not
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:  # a ValueError is an input the library refused
-        print(f"tierplan {args.command}: {exc}", file=sys.stderr)
+        _complain(f"tierplan {args.command}: {exc}\n")
         return exc.code if isinstance(exc, CliError) else EXIT_ARGUMENT
 
 

@@ -36,12 +36,17 @@ shared timelines, so ``simulate`` rejects two topologies that
 preprocessing times or endpoint cores, and (through ``Topology.check``) a
 worker that processes its own elements and other sources' too.
 
-A run is kept as columns (``_Columns``): the timeline as one
-``array('d')`` per round; the five duration components of each element
-(preprocess, transfer, propagation, queue wait, service) as one tuple of
-``array('d')`` in ``ElementRecord`` order; the completion time as one
-``array('d')``, NaN where an element is not done; and one ``bytearray`` of
-indices into ``PHASES``.  Records are built only for
+A run is kept as columns (``_Columns``), each quantity at the level where
+it varies.  By round, as ``array('d')``: the timeline, and the preprocess
+and transfer every offloaded source shares, for the rounds that reached
+each stage.  By source rank: whether the source offloads, and its worker's
+service time.  By element: propagation, queue wait and completion time as
+``array('d')`` (NaN where not done), and one ``bytearray`` of indices into
+``PHASES``.  An element's preprocess and transfer are its round's where
+its source offloads and the round reached the stage, else 0.0; its service
+is its source's where it is done, else 0.0.  ``_Columns.components``
+expands the five durations per element on the fly, for the report, the
+records and the trace alike.  Records are built only for
 ``SimReport.elements``, and ``write_trace_csv`` formats the columns a
 chunk of rounds at a time, the second half of the chunks in a forked child
 where it can.  Waiting for the endpoint CPU counts into preprocess and
@@ -65,14 +70,14 @@ import threading
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import add, lt
+from operator import add, getitem, lt
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .config import _shown
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
-# Largest run simulate accepts, in elements: a run peaks at about 66 bytes
-# per element (see README, "Simulator model").
+# Largest run simulate accepts, in elements: a run peaks at about 44 bytes
+# per element, measured with tracemalloc (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 
 
@@ -130,22 +135,65 @@ _TRACE_CHUNK_ROWS = 2000  # rows write_trace_csv formats at a time, in whole rou
 
 @dataclass
 class _Columns:
-    """Per-element results, element ``k * len(sources) + rank`` being round
-    ``k`` of the source at that rank (the order elements are generated in)."""
+    """A run's results, element ``k * len(sources) + rank`` being round ``k``
+    of the source at that rank (the order elements are generated in), each
+    quantity kept at the level where it varies (see the module docstring)."""
 
     sources: list[tuple[str, str]]   # (source id, worker id) by rank
-    generated: array                 # array('d') per round
-    durations: tuple[array, ...]     # array('d') per element of each ElementRecord duration, in its order
-    completed: array                 # NaN where the element is not done
-    phase: bytearray                 # index into PHASES
+    offloads: bytes                  # by rank: 1 where the source offloads, else 0
+    service: array                   # array('d') by rank: its worker's service time
+    generated: array                 # array('d') by round
+    preprocess: array                # array('d') by round preprocessed within the run
+    transfer: array                  # array('d') by round sent within the run
+    propagation: array               # array('d') by element
+    queue_wait: array                # array('d') by element
+    completed: array                 # array('d') by element, NaN where the element is not done
+    phase: bytearray                 # by element: index into PHASES
+
+    def components(self, k0: int, k1: int) -> tuple[Iterable[float], ...]:
+        """The five durations of each element in rounds ``k0`` up to ``k1``,
+        in ``ElementRecord`` order: propagation and queue wait as
+        memoryviews, the others as iterators, each new."""
+        k1 = max(k0, min(k1, len(self.generated)))
+        lo, hi = k0 * len(self.sources), k1 * len(self.sources)
+        pre, transfer = (_spread(_padded(by_round, k0, k1), self.offloads, 0.0)
+                         for by_round in (self.preprocess, self.transfer))
+        return (pre, transfer, memoryview(self.propagation)[lo:hi], memoryview(self.queue_wait)[lo:hi],
+                self.done_only(self.service, 0.0, k0, k1))
+
+    def done_only(self, by_rank: Sequence, zero, k0: int, k1: int) -> Iterator:
+        """Element by element in rounds ``k0`` up to ``k1`` (within the run):
+        the item of ``by_rank`` at the element's rank where the element is
+        done, else ``zero``."""
+        n_sources = len(self.sources)
+        done = self.phase[k0 * n_sources:k1 * n_sources].translate(_IS_DONE)
+        items = itertools.chain.from_iterable(itertools.repeat(by_rank, k1 - k0))
+        return map(getitem, zip(itertools.repeat(zero), items), done)
 
     def rows(self) -> Iterator[tuple]:
         """ElementRecord fields of every element, in generation order."""
-        ends = (end if code == _DONE else None for end, code in zip(self.completed, self.phase))
-        values = zip(*self.durations, ends, map(PHASES.__getitem__, self.phase))
+        values = zip(*self.components(0, len(self.generated)), self.completed, self.phase)
         for index, generated in enumerate(self.generated):
             for source, worker in self.sources:
-                yield (source, worker, index, generated, *next(values))
+                pre, transfer, propagation, wait, service, end, code = next(values)
+                yield (source, worker, index, generated, pre, transfer, propagation, wait, service,
+                       end if code == _DONE else None, PHASES[code])
+
+
+def _padded(by_round: array, k0: int, k1: int) -> Iterator[float]:
+    """``by_round``'s values of rounds ``k0`` up to ``k1``, then 0.0 for each
+    of those rounds past its end."""
+    part = memoryview(by_round)[k0:k1]
+    return itertools.chain(part, itertools.repeat(0.0, k1 - k0 - len(part)))
+
+
+def _spread(by_round: Iterable, offloads: bytes, zero) -> Iterator:
+    """Round by round, an item per rank: the round's where the rank's source
+    offloads, else ``zero``, repeated over each run of ranks with the same
+    flag (one run where every source offloads)."""
+    runs = [(flag, len(list(ranks))) for flag, ranks in itertools.groupby(offloads)]
+    return itertools.chain.from_iterable(itertools.repeat((zero, value)[flag], length)
+                                         for value in by_round for flag, length in runs)
 
 
 @dataclass
@@ -207,22 +255,24 @@ def _generation_times(rate: float, duration: float, max_elements: int | None) ->
 
 
 def _assign(topology: Topology, workload: WorkloadProfile
-            ) -> tuple[list[tuple[str, str]], dict[str, list[int]], list[int], tuple[float, int]]:
+            ) -> tuple[list[tuple[str, str]], dict[str, list[int]], bytes, tuple[float, int]]:
     """Sources by rank as (source id, worker id), every worker's source ranks,
-    the offloaded ranks, and the preprocessing time and endpoint cores those
-    share.  Without preprocessing the cores do not matter and count as 1."""
+    by rank 1 where the source offloads, else 0, and the preprocessing time
+    and endpoint cores the offloaded sources share.  Without preprocessing
+    the cores do not matter and count as 1."""
     sources = sorted((source_id, worker_id) for worker_id, assigned in topology.assignment.items()
                      for source_id in assigned)
     ranks: dict[str, list[int]] = {device.id: [] for device in topology.workers}
     for rank, (_, worker_id) in enumerate(sources):
         ranks[worker_id].append(rank)
-    offloaded = [rank for rank, (source_id, worker_id) in enumerate(sources) if source_id != worker_id]
+    offloads = bytes(source_id != worker_id for source_id, worker_id in sources)
     endpoint_cpus = {(workload.pre_time / d.quota, d.cores if workload.pre_time else 1)
-                     for d in (topology.device(sources[rank][0]) for rank in offloaded)}
+                     for d in (topology.device(source_id) for (source_id, _), offloaded in zip(sources, offloads)
+                               if offloaded)}
     if len(endpoint_cpus) > 1:
         raise ValueError("offloaded sources must share one preprocessing time and core count "
                          "(same endpoint quota and cores)")
-    return sources, ranks, offloaded, endpoint_cpus.pop() if endpoint_cpus else (0.0, 1)
+    return sources, ranks, offloads, endpoint_cpus.pop() if endpoint_cpus else (0.0, 1)
 
 
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)  # as random.NV_MAGICCONST
@@ -264,28 +314,27 @@ def _fifo(arrivals: Sequence[float], cores: int, s: float, duration: float) -> l
     return starts
 
 
-def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: float, cores: int, link: Link,
-             workload: WorkloadProfile, duration: float, seed: int) -> None:
+def _offload(columns: _Columns, arrival: array, pre_s: float, cores: int, link: Link, workload: WorkloadProfile,
+             duration: float, seed: int) -> None:
     """Endpoint CPU, link and propagation of the offloaded sources' elements:
-    record their stage times and phases and set their arrival times."""
+    record each round's preprocess and transfer, each element's propagation
+    and phase, and set their arrival times."""
     g, n_sources = columns.generated, len(columns.sources)
+    offloaded = list(itertools.compress(range(n_sources), columns.offloads))
     ser_s = workload.element_size / link.throughput_mbit
     # the finish times within the run: endpoint CPU on the endpoint's cores, then the link
     prepared = [d for d in (start + pre_s for start in _fifo(g, cores, pre_s, duration)) if d <= duration]
     sent = [x for x in (start + ser_s for start in _fifo(prepared, 1, ser_s, duration)) if x <= duration]
     n_pre, n_sent = len(prepared) * n_sources, len(sent) * n_sources
-    pre_values = array("d", [d - gk for d, gk in zip(prepared, g)])
-    transfer_values = array("d", [x - d for x, d in zip(sent, prepared)])
+    columns.preprocess = array("d", [d - gk for d, gk in zip(prepared, g)])
+    columns.transfer = array("d", [x - d for x, d in zip(sent, prepared)])
     transferring, in_transit = bytes([_TRANSFER]) * len(prepared), bytes([_TRANSIT]) * len(sent)
-    preprocess, transfer, propagation = columns.durations[:3]
     for rank in offloaded:
-        preprocess[rank:n_pre:n_sources] = pre_values
         columns.phase[rank:n_pre:n_sources] = transferring
-        transfer[rank:n_sent:n_sources] = transfer_values
         columns.phase[rank:n_sent:n_sources] = in_transit
 
     avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
-    uniform = random.Random(seed).random
+    uniform, propagation = random.Random(seed).random, columns.propagation
     m = len(offloaded)
     for k, x in enumerate(sent):  # in transmit order: round, then rank
         base = k * n_sources
@@ -298,10 +347,9 @@ def _offload(columns: _Columns, arrival: array, offloaded: list[int], pre_s: flo
 def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: float,
            duration: float, warmup: float) -> tuple[int, float]:
     """Pass one worker's arrivals, in ``order``, through its cores; record
-    each element's wait, service, completion and phase.  Returns the number
-    of arrivals from warmup on and the core-seconds spent after warmup."""
-    phase, completed = columns.phase, columns.completed
-    queue_wait, service = columns.durations[3:]
+    each element's wait, completion and phase.  Returns the number of
+    arrivals from warmup on and the core-seconds spent after warmup."""
+    phase, completed, queue_wait = columns.phase, columns.completed, columns.queue_wait
     arrivals = list(map(arrival.__getitem__, order))
     starts = _fifo(arrivals, cores, s, duration)
     busy = 0.0
@@ -314,7 +362,6 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
             end = duration
         else:
             phase[e] = _DONE
-            service[e] = s
             completed[e] = end
         overlap = end - max(start, warmup)
         if overlap > 0:
@@ -377,7 +424,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     duration, warmup, rate = params.duration, params.warmup_s, workload.rate
     # (worker, processing time) by id, looked up before _assign and the budget: a missing tier is refused first
     workers = sorted([(d, workload.proc_on(d.tier)) for d in topology.workers], key=lambda pair: pair[0].id)
-    sources, ranks, offloaded, (pre_s, endpoint_cores) = _assign(topology, workload)
+    sources, ranks, offloads, (pre_s, endpoint_cores) = _assign(topology, workload)
 
     n_sources = len(sources)
     estimate = estimated_elements(n_sources, rate, params)
@@ -387,12 +434,11 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
 
     g = _generation_times(rate, duration, params.max_elements) if n_sources else array("d")
     n = len(g) * n_sources
-    columns = _Columns(sources, g, tuple(array("d", [0.0]) * n for _ in range(5)), array("d", [math.nan]) * n,
-                       bytearray(n))
+    columns = _Columns(sources, offloads, array("d", [0.0]) * n_sources, g, array("d"), array("d"),
+                       array("d", [0.0]) * n, array("d", [0.0]) * n, array("d", [math.nan]) * n, bytearray(n))
     arrival = array("d", [math.inf]) * n
-    if offloaded:
-        _offload(columns, arrival, offloaded, pre_s, endpoint_cores, topology.worker_link, workload, duration,
-                 params.seed)
+    if 1 in offloads:
+        _offload(columns, arrival, pre_s, endpoint_cores, topology.worker_link, workload, duration, params.seed)
 
     window = duration - warmup
     worker_load, worker_busy = {}, {}  # by worker id, in sorted order
@@ -403,21 +449,27 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         order = [base + rank for base in range(0, n, n_sources or 1) for rank in assigned  # n is 0 without sources
                  if arrival[base + rank] <= duration]
         order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
-        arrived, busy = _serve(columns, order, arrival, worker.cores, proc / worker.quota, duration, warmup)
+        s = proc / worker.quota
+        for rank in assigned:
+            columns.service[rank] = s
+        arrived, busy = _serve(columns, order, arrival, worker.cores, s, duration, warmup)
         worker_load[worker.id] = arrived * float(proc) / window / capacity_of(worker) * 100.0
         worker_busy[worker.id] = busy / (window * worker.cores)
     del arrival
 
     phase_counts = {p: columns.phase.count(code) for code, p in enumerate(PHASES)}
-    warming = bisect.bisect_left(g, warmup) * n_sources  # elements generated before warmup
+    early = bisect.bisect_left(g, warmup)  # rounds generated before warmup
+    warming = early * n_sources  # elements generated before warmup
     # an element completes after it is generated, so only those generated
     # before warmup can complete before it; NaN compares false
     completed_early = sum(map(lt, memoryview(columns.completed)[:warming], itertools.repeat(warmup)))
     completed_in_window = phase_counts["done"] - completed_early
 
-    # the measured elements: done, and generated from warmup on
+    # the measured elements: done, and generated from warmup on; the
+    # components are read twice, for the latencies and for the means
     measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
-    pre, transfer, propagation, queue_wait, service = (memoryview(column)[warming:] for column in columns.durations)
+    latencies = _end_to_end(*columns.components(early, len(g)))
+    pre, transfer, propagation, queue_wait, service = columns.components(early, len(g))
 
     return SimReport(
         params=params,
@@ -425,8 +477,7 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         completed=phase_counts["done"],
         measured=columns.phase.count(_DONE, warming),
         **latency_summary(*(itertools.compress(values, measured) for values in (
-            _end_to_end(pre, transfer, propagation, queue_wait, service), map(add, transfer, propagation),
-            map(add, pre, service), queue_wait))),
+            latencies, map(add, transfer, propagation), map(add, pre, service), queue_wait))),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,
@@ -451,30 +502,23 @@ def _csv_prefixes(sources: list[tuple[str, str]]) -> list[str]:
     return prefixes
 
 
-def _format_shared(values: list[float]) -> Iterable[str]:
-    """``repr`` of each value, each distinct value formatted once.  0.0 and
-    -0.0 are one key but two texts, so values where any has its sign bit set
-    are formatted one by one."""
-    if min(map(math.copysign, itertools.repeat(1.0), values), default=1.0) < 0:
-        return map(repr, values)
-    table = {value: repr(value) for value in set(values)}
-    return map(table.__getitem__, values)
-
-
-def _format_rounds(columns: _Columns, prefixes: list[str], k0: int, k1: int) -> str:
+def _format_rounds(columns: _Columns, prefixes: list[str], services: list[str], k0: int, k1: int) -> str:
     """The trace rows of rounds ``k0`` up to ``k1``, each ended by ``\r\n``,
-    formatted column by column."""
-    n_sources = len(prefixes)
+    formatted column by column; ``services`` holds each rank's service
+    time as text."""
     heads = [f"{k},{g!r}" for k, g in enumerate(columns.generated[k0:k1], k0)]
-    lo, hi = k0 * n_sources, (k0 + len(heads)) * n_sources
-    pre, tx, prop, wait, svc = (column[lo:hi].tolist() for column in columns.durations)
+    k1 = k0 + len(heads)
+    lo, hi = k0 * len(prefixes), k1 * len(prefixes)
     codes = columns.phase[lo:hi]
+    pre, tx, prop, wait, svc = columns.components(k0, k1)
     sums = _end_to_end(pre, tx, prop, wait, svc)
     total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]
     completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completed[lo:hi], codes)]
-    rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes],
-               _format_shared(pre), _format_shared(tx), map(repr, prop), map(repr, wait),
-               _format_shared(svc), total, completed, map(PHASES.__getitem__, codes))
+    service = columns.done_only(services, "0.0", k0, k1)
+    pre_text, tx_text = (_spread(map(repr, _padded(by_round, k0, k1)), columns.offloads, "0.0")
+                         for by_round in (columns.preprocess, columns.transfer))  # each round's text formatted once
+    rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes], pre_text, tx_text, map(repr, prop),
+               map(repr, wait), service, total, completed, map(PHASES.__getitem__, codes))
     return "\r\n".join([*map(",".join, rows), ""])
 
 
@@ -495,9 +539,9 @@ def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     The bytes are those ``csv.writer`` writes with its default dialect
     (floats by ``repr``, ``None`` empty, ``\r\n`` line ends).  Rows are
     formatted by ``_format_rounds`` in chunks of whole rounds of about
-    ``_TRACE_CHUNK_ROWS`` rows; the ``source,worker`` cells of a rank and the
-    ``index,generated_s`` cells of a round are formatted once, and so is each
-    distinct preprocess, transfer and service time of a chunk.
+    ``_TRACE_CHUNK_ROWS`` rows; the ``source,worker`` cells and the service
+    time of a rank are formatted once, and so are the ``index,generated_s``
+    cells, the preprocess and the transfer of a round.
 
     A trace of two chunks or more, where ``_may_fork`` allows, is formatted
     by two processes: a forked child formats the second half of the chunks
@@ -509,12 +553,12 @@ def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     stream.write(",".join(_TRACE_COLUMNS) + "\r\n")
     if not columns.sources:
         return
-    prefixes = _csv_prefixes(columns.sources)
+    prefixes, services = _csv_prefixes(columns.sources), list(map(repr, columns.service))
     chunk = max(1, _TRACE_CHUNK_ROWS // len(prefixes))  # rounds per chunk
     starts = range(0, len(columns.generated), chunk)
     if len(starts) < 2 or not _may_fork():
         for k0 in starts:
-            stream.write(_format_rounds(columns, prefixes, k0, k0 + chunk))
+            stream.write(_format_rounds(columns, prefixes, services, k0, k0 + chunk))
         return
     half = len(starts) // 2
     with tempfile.TemporaryFile() as spool:
@@ -523,14 +567,14 @@ def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
             status = 1
             try:
                 for k0 in starts[half:]:
-                    marshal.dump(_format_rounds(columns, prefixes, k0, k0 + chunk), spool)
+                    marshal.dump(_format_rounds(columns, prefixes, services, k0, k0 + chunk), spool)
                 spool.flush()
                 status = 0
             finally:
                 os._exit(status)
         try:
             for k0 in starts[:half]:
-                stream.write(_format_rounds(columns, prefixes, k0, k0 + chunk))
+                stream.write(_format_rounds(columns, prefixes, services, k0, k0 + chunk))
         except BaseException:
             import signal
 

@@ -711,3 +711,22 @@ class TestStdoutFailure:
     def test_closed_stdout(self, argv):
         closed = run_process(argv, prefix=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
         self.assert_io_error(closed, argv[0])
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+class TestStderrFailure:
+    """A stderr that cannot be written loses the message, not the exit code.
+    The failed ``print`` was exit 1 and, buffered, the failed flush at exit
+    was exit 120."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(("argv", "stdout_full", "code"), [
+        (("simulate", "mist", "--duration", "-1"), False, EXIT_ARGUMENT),
+        (("predict", "edge-small"), True, EXIT_IO),
+        (("simulate", "--no-such-option"), False, EXIT_ARGUMENT),
+    ], ids=["refused-input", "failed-stdout", "usage"])
+    def test_full_device(self, argv, stdout_full, code, unbuffered):
+        with open("/dev/full", "w") as full:
+            process = run_process(argv, env={"PYTHONUNBUFFERED": unbuffered},
+                                  stdout=full if stdout_full else subprocess.DEVNULL, stderr=full)
+        assert process.returncode == code

@@ -106,6 +106,41 @@ class TestMatchesTheEventLoop:
         workload = WorkloadProfile({"cloud": 0.14, "edge": 0.16, "endpoint": 0.11}, 0.001, 5.0, 0.54)
         assert_same_run(build_topology(load_preset(name)), workload, SimParams(duration=12.0, seed=811))
 
+    @staticmethod
+    def assert_same_run_ends_with(phase, topology, workload, params):
+        """``assert_same_run``, for a run that leaves elements in ``phase``:
+        their rows read 0.0 past the end of the per-round arrays."""
+        assert simulate(topology, workload, params).phase_counts[phase] > 0
+        assert_same_run(topology, workload, params)
+
+    def test_endpoint_cpu_backlog(self):
+        """mist's endpoints preprocess for 0.6 s on two cores, one element every 0.2 s."""
+        workload = WorkloadProfile({"endpoint": 0.11}, 0.3, 5.0, 0.54)
+        self.assert_same_run_ends_with("preprocess", build_topology(load_preset("mist")), workload,
+                                       SimParams(duration=12.0, seed=812))
+
+    def test_link_backlog(self):
+        """edge-small's links at 125% load."""
+        topology = build_topology(load_preset("edge-small"))
+        size = 1.25 * topology.worker_link.throughput_mbit / 5.0
+        workload = WorkloadProfile({"cloud": 0.14, "edge": 0.16, "endpoint": 0.11}, 0.001, 5.0, size)
+        self.assert_same_run_ends_with("transfer", topology, workload, SimParams(duration=12.0, seed=813))
+
+    @pytest.mark.parametrize(("phase", "pre_time", "size"), [("preprocess", 0.3, 0.54), ("transfer", 0.01, 2.5)])
+    def test_self_served_next_to_offloading_sources(self, phase, pre_time, size):
+        """One worker serves itself, as ``local_topology`` makes it, and ranks
+        on either side of it offload to an edge worker: the offload flag, not
+        the round, decides between a round's time and 0.0."""
+        topology = Topology(
+            devices=(Device("edge-0", "edge", 2, 1.0, "worker"), Device("endpoint-0", "endpoint", 1, 0.5, "source"),
+                     Device("endpoint-1", "endpoint", 1, 0.5, "worker"),
+                     Device("endpoint-2", "endpoint", 1, 0.5, "source")),
+            worker_link=Link(tier_pair("edge", "endpoint"), 5.0, 1.0, 8.0),
+            assignment={"edge-0": ("endpoint-0", "endpoint-2"), "endpoint-1": ("endpoint-1",)},
+        )
+        workload = WorkloadProfile({"edge": 0.1, "endpoint": 0.15}, pre_time, 5.0, size)
+        self.assert_same_run_ends_with(phase, topology, workload, SimParams(duration=12.0, seed=814))
+
 
 class TestDeclinedTopologies:
     @staticmethod

@@ -503,19 +503,39 @@ class TestTimeline:
             list(map(repr, generation_times(rate, duration, cap)))
 
 
-def test_columns_stay_small_per_element():
-    """The per-element columns are typed arrays: simulating 80,040 elements
-    peaks under 100 bytes per element, and the report keeps under 64."""
-    topology = build_topology(load_preset("cloud"))
+def traced_bytes_per_element(topology, params):
+    """The run's report, and the bytes ``tracemalloc`` sees its simulation
+    peak at and keep, per element."""
     tracemalloc.start()
     try:
-        report = simulate(topology, DEFAULT_WORKLOAD, SimParams(duration=400.0, seed=1))
+        report = simulate(topology, DEFAULT_WORKLOAD, params)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak / report.generated, retained / report.generated
+
+
+def test_columns_stay_small_per_element():
+    """Only propagation, queue wait, completion time and phase are kept per
+    element, as typed arrays: simulating 80,040 elements peaks under 50
+    bytes per element, and the report keeps under 36."""
+    report, peak, retained = traced_bytes_per_element(build_topology(load_preset("cloud")),
+                                                      SimParams(duration=400.0, seed=1))
     assert report.generated == 80_040
-    assert peak / report.generated < 100
-    assert retained / report.generated < 64
+    assert peak < 50
+    assert retained < 36
+
+
+def test_columns_stay_small_with_many_sources():
+    """Service times are kept per source and expanded without a copy: 1,000
+    sources for 5 rounds peak under 86 bytes per element (an
+    ``itertools.cycle`` over the per-source times peaks at about 89) and keep
+    under 54."""
+    config = dataclasses.replace(load_preset("edge-large"), devices_per_tier=(1, 250, 1000))
+    report, peak, retained = traced_bytes_per_element(build_topology(config), SimParams(duration=1.0, seed=1))
+    assert report.generated == 5_000
+    assert peak < 86
+    assert retained < 54
 
 
 class TestTrace:
