@@ -447,12 +447,24 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` that reads every negative number as a value.
-    Its subcommand parsers are of this class too."""
+    """An ``ArgumentParser`` that reads every negative number as a value and
+    writes its help as a command writes its output.  Its subcommand parsers
+    are of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def print_help(self, file=None) -> None:
+        """``--help`` writes through ``_emit``: a stdout that is closed or
+        fails exits 4, where argparse lost the help and exited 0."""
+        if file is not None:
+            return super().print_help(file)
+        try:
+            _emit(argparse.Namespace(out=None), self.format_help())
+        except CliError as exc:
+            _complain(f"{self.prog}: {exc}\n")
+            self.exit(exc.code)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,14 +44,14 @@ service time.  By element: propagation, queue wait and completion time as
 ``array('d')`` (NaN where not done), and one ``bytearray`` of indices into
 ``PHASES``.  An element's preprocess and transfer are its round's where
 its source offloads and the round reached the stage, else 0.0; its service
-is its source's where it is done, else 0.0.  ``_Columns.components``
-expands the five durations per element on the fly, for the report, the
-records and the trace alike.  Records are built only for
-``SimReport.elements``, and ``write_trace_csv`` formats the columns a
-chunk of rounds at a time, the second half of the chunks in a forked child
-where it can.  Waiting for the endpoint CPU counts into preprocess and
-waiting for the link into transfer.  End-to-end latency is defined as the
-exact sum of the five components.
+is its source's.  ``_Columns.components`` expands the five durations per
+element on the fly, for the report (of done elements), the records and the
+trace alike, which show a service and a completion only when done.
+Records are built only for ``SimReport.elements``, and ``write_trace_csv``
+formats the columns a chunk of rounds at a time, the second half of the
+chunks in a forked child where it can.  Waiting for the endpoint CPU counts
+into preprocess and waiting for the link into transfer.  End-to-end
+latency is defined as the exact sum of the five components.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ import threading
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from operator import add, getitem, lt
+from operator import add, lt
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .config import _shown
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
-# Largest run simulate accepts, in elements: a run peaks at about 44 bytes
-# per element, measured with tracemalloc (see README, "Simulator model").
+# Largest run simulate accepts, in elements: a run peaks at 44 (wide) to 155
+# bytes per element (one source), by tracemalloc (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 
 
@@ -151,49 +151,35 @@ class _Columns:
     phase: bytearray                 # by element: index into PHASES
 
     def components(self, k0: int, k1: int) -> tuple[Iterable[float], ...]:
-        """The five durations of each element in rounds ``k0`` up to ``k1``,
-        in ``ElementRecord`` order: propagation and queue wait as
-        memoryviews, the others as iterators, each new."""
-        k1 = max(k0, min(k1, len(self.generated)))
+        """The five durations of each element in rounds ``k0`` up to ``k1``
+        (within the run), in ``ElementRecord`` order: propagation and queue wait
+        as memoryviews, the others as iterators, each new.  The service is the
+        source's in every phase; ``rows`` and ``_format_rounds`` show it only when done."""
         lo, hi = k0 * len(self.sources), k1 * len(self.sources)
-        pre, transfer = (_spread(_padded(by_round, k0, k1), self.offloads, 0.0)
+        pre, transfer = (_spread(memoryview(by_round)[k0:k1], k1 - k0, self.offloads, 0.0)
                          for by_round in (self.preprocess, self.transfer))
         return (pre, transfer, memoryview(self.propagation)[lo:hi], memoryview(self.queue_wait)[lo:hi],
-                self.done_only(self.service, 0.0, k0, k1))
-
-    def done_only(self, by_rank: Sequence, zero, k0: int, k1: int) -> Iterator:
-        """Element by element in rounds ``k0`` up to ``k1`` (within the run):
-        the item of ``by_rank`` at the element's rank where the element is
-        done, else ``zero``."""
-        n_sources = len(self.sources)
-        done = self.phase[k0 * n_sources:k1 * n_sources].translate(_IS_DONE)
-        items = itertools.chain.from_iterable(itertools.repeat(by_rank, k1 - k0))
-        return map(getitem, zip(itertools.repeat(zero), items), done)
+                itertools.chain.from_iterable(itertools.repeat(self.service, k1 - k0)))
 
     def rows(self) -> Iterator[tuple]:
-        """ElementRecord fields of every element, in generation order."""
+        """ElementRecord fields of every element, in generation order; the
+        service and completion of an element not done are 0.0 and None."""
         values = zip(*self.components(0, len(self.generated)), self.completed, self.phase)
         for index, generated in enumerate(self.generated):
             for source, worker in self.sources:
                 pre, transfer, propagation, wait, service, end, code = next(values)
-                yield (source, worker, index, generated, pre, transfer, propagation, wait, service,
-                       end if code == _DONE else None, PHASES[code])
+                shown = (service, end) if code == _DONE else (0.0, None)
+                yield (source, worker, index, generated, pre, transfer, propagation, wait, *shown, PHASES[code])
 
 
-def _padded(by_round: array, k0: int, k1: int) -> Iterator[float]:
-    """``by_round``'s values of rounds ``k0`` up to ``k1``, then 0.0 for each
-    of those rounds past its end."""
-    part = memoryview(by_round)[k0:k1]
-    return itertools.chain(part, itertools.repeat(0.0, k1 - k0 - len(part)))
-
-
-def _spread(by_round: Iterable, offloads: bytes, zero) -> Iterator:
-    """Round by round, an item per rank: the round's where the rank's source
-    offloads, else ``zero``, repeated over each run of ranks with the same
-    flag (one run where every source offloads)."""
+def _spread(by_round: Iterable, rounds: int, offloads: bytes, zero) -> Iterator:
+    """``rounds`` rounds of an item per rank: the round's item of ``by_round``
+    (``zero`` past its end) where the rank's source offloads, else ``zero``,
+    repeated over each run of ranks with the same flag."""
     runs = [(flag, len(list(ranks))) for flag, ranks in itertools.groupby(offloads)]
+    padded = itertools.islice(itertools.chain(by_round, itertools.repeat(zero)), rounds)
     return itertools.chain.from_iterable(itertools.repeat((zero, value)[flag], length)
-                                         for value in by_round for flag, length in runs)
+                                         for value in padded for flag, length in runs)
 
 
 @dataclass
@@ -514,8 +500,8 @@ def _format_rounds(columns: _Columns, prefixes: list[str], services: list[str], 
     sums = _end_to_end(pre, tx, prop, wait, svc)
     total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]
     completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completed[lo:hi], codes)]
-    service = columns.done_only(services, "0.0", k0, k1)
-    pre_text, tx_text = (_spread(map(repr, _padded(by_round, k0, k1)), columns.offloads, "0.0")
+    service = ["0.0" if code != _DONE else text for text, code in zip(itertools.cycle(services), codes)]
+    pre_text, tx_text = (_spread(map(repr, by_round[k0:k1]), k1 - k0, columns.offloads, "0.0")
                          for by_round in (columns.preprocess, columns.transfer))  # each round's text formatted once
     rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes], pre_text, tx_text, map(repr, prop),
                map(repr, wait), service, total, completed, map(PHASES.__getitem__, codes))

@@ -683,6 +683,9 @@ _EVERY_COMMAND = [
     ("simulate", "mist", "--duration", "2"),
     ("compare", "cloud", "mist", "--repeats", "2", "--duration", "2"),
 ]
+# help goes to stdout as a command's output does, so a failing stdout fails it the same way
+_STDOUT_WRITERS = [*_EVERY_COMMAND, ("--help",), ("predict", "--help")]
+_STDOUT_WRITER_IDS = [argv[0] for argv in _EVERY_COMMAND] + ["help", "predict-help"]
 
 
 class TestStdoutFailure:
@@ -691,26 +694,27 @@ class TestStdoutFailure:
     device, ``AttributeError`` on the ``None`` of a closed stdout."""
 
     @staticmethod
-    def assert_io_error(process, command):
+    def assert_io_error(process, argv):
+        prog = " ".join(["tierplan", *argv[:1]]).removesuffix(" --help")
         assert process.returncode == EXIT_IO, process.stderr
-        assert process.stderr.startswith(f"tierplan {command}: cannot write standard output: ")
+        assert process.stderr.startswith(f"{prog}: cannot write standard output: ")
         assert process.stderr.count("\n") == 1 and "Traceback" not in process.stderr
 
     # Unbuffered, the write fails; buffered, the flush fails, and what stays
     # in the buffer must not fail a second time at exit (exit 120).
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", _STDOUT_WRITERS, ids=_STDOUT_WRITER_IDS)
     def test_full_device(self, argv, unbuffered):
         with open("/dev/full", "w") as full:
             process = run_process(argv, env={"PYTHONUNBUFFERED": unbuffered}, stdout=full, stderr=subprocess.PIPE)
-            self.assert_io_error(process, argv[0])
+            self.assert_io_error(process, argv)
 
     @pytest.mark.skipif(os.name != "posix", reason="closes stdout with a POSIX shell")
-    @pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", _STDOUT_WRITERS, ids=_STDOUT_WRITER_IDS)
     def test_closed_stdout(self, argv):
         closed = run_process(argv, prefix=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
-        self.assert_io_error(closed, argv[0])
+        self.assert_io_error(closed, argv)
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
