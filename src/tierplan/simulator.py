@@ -22,7 +22,9 @@ time, so each stage's times follow in closed form from the stage before
   endpoint's cores and ``pre_s``, which every offloaded source shares, so
   one recursion serves them all; the link on the preprocessed times with
   ``c = 1`` and ``ser_s``; and each worker on its arrivals sorted by
-  arrival time, ties in transmit order, with its cores and ``proc/quota``.
+  arrival time, ties in transmit order, with its cores and ``proc/quota``
+  (``_serve``: the elements done are all the started ones but the last
+  ``c`` at most, written in one pass without a branch).
 - Propagation: delays are drawn from one seeded ``random.Random`` in
   transmit order: round ``k`` first, then the source's rank in sorted id
   order.  Only elements transmitted by the end of the run draw.
@@ -52,6 +54,12 @@ formats the columns a chunk of rounds at a time, the second half of the
 chunks in a forked child where it can.  Waiting for the endpoint CPU counts
 into preprocess and waiting for the link into transfer.  End-to-end
 latency is defined as the exact sum of the five components.
+
+The latency sd is ``statistics.stdev``'s float from exact integer sums
+(``stdev``): scaled by a power of two that makes every value an integer,
+the sums of the values and of their squares are exact, so the sample
+variance is an exact fraction whose square root is rounded correctly.
+``statistics`` is imported only where those sums cannot serve.
 """
 
 from __future__ import annotations
@@ -69,8 +77,8 @@ import tempfile
 import threading
 from array import array
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from operator import add, lt
+from functools import cached_property, partial, reduce
+from operator import add, lt, mul, sub
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .config import _shown
@@ -334,22 +342,40 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
            duration: float, warmup: float) -> tuple[int, float]:
     """Pass one worker's arrivals, in ``order``, through its cores; record
     each element's wait, completion and phase.  Returns the number of
-    arrivals from warmup on and the core-seconds spent after warmup."""
+    arrivals from warmup on and the core-seconds spent after warmup.
+
+    Starts, and so finishes, never decrease, and at most ``cores`` elements
+    are in service at any time, so the elements done are the started ones
+    but the last few, found by walking back from the last start.  They are
+    written in one pass without a branch.  The busy time is each started
+    element's ``min(start + s, duration) - max(start, warmup)`` where it is
+    positive, added in element order.  Done elements that start before
+    warmup add ``(start + s) - warmup`` where it is positive, the later
+    ones ``(start + s) - start``, which is never negative, so the passes
+    add the floats that a loop with a branch per element adds, in its
+    order, and the sum keeps its bits."""
+    if not order:  # an idle worker, as every worker of a run at rate 0
+        return 0, 0.0
     phase, completed, queue_wait = columns.phase, columns.completed, columns.queue_wait
     arrivals = list(map(arrival.__getitem__, order))
     starts = _fifo(arrivals, cores, s, duration)
-    busy = 0.0
-    # finishes never decrease, so the elements done come first, then those in service
-    for e, a, start in zip(order, arrivals, starts):
+    done = len(starts)
+    while done and starts[done - 1] + s > duration:  # at most `cores` steps
+        done -= 1
+    for e, a, start in zip(order, arrivals, itertools.islice(starts, done)):
         queue_wait[e] = start - a
-        end = start + s
-        if end > duration:
-            phase[e] = _SERVICE
-            end = duration
-        else:
-            phase[e] = _DONE
-            completed[e] = end
-        overlap = end - max(start, warmup)
+        phase[e] = _DONE
+        completed[e] = start + s
+    early = min(bisect.bisect_left(starts, warmup), done)  # the done elements started before warmup
+    ends = map(add, starts, itertools.repeat(s))  # the done elements' finishes, read by the two passes in turn
+    overlaps = map(sub, itertools.islice(ends, early), itertools.repeat(warmup))
+    busy = reduce(add, filter(partial(lt, 0.0), overlaps), 0.0)  # the positive ones
+    busy = reduce(add, map(sub, itertools.islice(ends, done - early), itertools.islice(starts, early, done)), busy)
+    for i in range(done, len(starts)):  # in service at the end
+        e, start = order[i], starts[i]
+        queue_wait[e] = start - arrivals[i]
+        phase[e] = _SERVICE
+        overlap = duration - max(start, warmup)
         if overlap > 0:
             busy += overlap
     for e in order[len(starts):]:
@@ -377,19 +403,65 @@ def mean(values: Sequence[float]) -> float | None:
         return statistics.mean(values)
 
 
+_STDEV_CHUNK = 512  # values stdev scales to ints at a time; 4,096 broke the memory bound of a wide run
+
+
+def stdev(values: Sequence[float]) -> float:
+    """``statistics.stdev`` of a sequence of two or more floats, the same
+    float, from integer sums instead of ``Fraction``s.
+
+    Every value times 2**k is an integer, with k set by the smallest
+    non-zero magnitude, so the sums of the scaled values and of their
+    squares are exact, taken ``_STDEV_CHUNK`` values at a time, and the
+    sample variance is the ratio (n*sum(x*x) - sum(x)**2) / (n*(n-1)*4**k).
+    Its square root is rounded correctly, as ``statistics.stdev`` rounds it
+    (Python 3.11 on), so the two agree bit for bit.  Where a scaled value
+    would overflow a float, or a value is not finite, ``statistics.stdev``
+    itself."""
+    n = len(values)
+    k = max(0, 53 - math.frexp(min(filter(None, map(abs, values)), default=0.0))[1])
+    total = squares = 0
+    try:
+        for i in range(0, n, _STDEV_CHUNK):
+            ints = list(map(int, map(math.ldexp, values[i:i + _STDEV_CHUNK], itertools.repeat(k))))
+            total += sum(ints)
+            squares += sum(map(mul, ints, ints))
+    except (OverflowError, ValueError):  # ValueError: int(nan)
+        import statistics  # here only, so a run on finite values never loads it
+
+        return statistics.stdev(values)
+    return _float_sqrt_of_frac(n * squares - total * total, n * (n - 1) << 2 * k)
+
+
+def _float_sqrt_of_frac(n: int, m: int) -> float:
+    """The square root of n/m as a float, correctly rounded: a copy of
+    ``statistics._float_sqrt_of_frac`` (Python 3.11), which rounds to odd
+    at 2 * 53 + 3 bits first."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        numerator = _integer_sqrt_of_frac_rto(n, m << 2 * q) << q
+        denominator = 1
+    else:
+        numerator = _integer_sqrt_of_frac_rto(n << -2 * q, m)
+        denominator = 1 << -q
+    return numerator / denominator
+
+
+def _integer_sqrt_of_frac_rto(n: int, m: int) -> int:
+    """The square root of n/m, rounded to an integer by round-to-odd."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
+
+
 def latency_summary(latencies: Iterable[float], communication: Iterable[float],
                     compute: Iterable[float], queueing: Iterable[float]) -> dict[str, float | None]:
     """The latency statistics of a report: ``latency_mean_s`` and
     ``latency_sd_s`` of ``latencies``, then the ``mean`` of each component.
-    The sd is ``statistics.stdev``, None below two values; a mean is None
-    for none.  Each iterable is read into one array, dropped before the
-    next is read, so one array is alive at a time."""
+    The sd is ``stdev``, None below two values; a mean is None for none.
+    Each iterable is read into one array, dropped before the next is read,
+    so one array is alive at a time."""
     values = array("d", latencies)
-    summary = {"latency_mean_s": mean(values), "latency_sd_s": None}
-    if len(values) > 1:  # one value shows no spread
-        import statistics  # here only, so a summary without an sd never loads it
-
-        summary["latency_sd_s"] = statistics.stdev(values)
+    summary = {"latency_mean_s": mean(values), "latency_sd_s": stdev(values) if len(values) > 1 else None}
     del values
     for key, component in (("communication_mean_s", communication), ("compute_mean_s", compute),
                            ("queueing_mean_s", queueing)):

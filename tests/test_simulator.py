@@ -9,9 +9,10 @@ import math
 import statistics
 import tracemalloc
 from array import array
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tierplan.analytic import offload_viability
 from tierplan.config import parse_config
@@ -19,9 +20,11 @@ from tierplan.simulator import (
     PHASES,
     SimParams,
     _generation_times,
+    _serve,
     latency_summary,
     mean,
     simulate,
+    stdev,
     write_trace_csv,
 )
 from tierplan.config import load_preset, tier_pair
@@ -35,6 +38,7 @@ from tierplan.topology import (
     local_topology,
 )
 
+from serve_oracle import serve
 from timeline_oracle import generation_times
 
 # one cloud worker with a single full-speed core, two endpoints, no network
@@ -346,10 +350,40 @@ class TestLatencyIdentity:
         assert report.latency_mean_s == report.compute_mean_s == pytest.approx(1e308)
 
 
+def _outcome(function, values):
+    """The float's bits, or the overflow ``statistics`` raises for a spread
+    beyond the float range."""
+    try:
+        return function(values).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
 class TestStatistics:
-    """``mean`` gives the float of ``statistics.fmean``, bit for bit, on
-    every finite input, and ``latency_summary`` the float of ``mean`` and
-    of ``statistics.stdev``."""
+    """``stdev`` and ``mean`` give the floats of ``statistics.stdev`` and
+    ``statistics.fmean``, bit for bit, on every finite input, and
+    ``latency_summary`` the float of ``mean`` and of ``statistics.stdev``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40))
+    @example([0.0, -0.0])
+    @example([5e-324, 0.0, -5e-324])
+    @example([1e300, 5e-324])  # 2**k * 1e300 overflows: the statistics.stdev fallback
+    @example([1.7e308, -1.7e308])  # a spread beyond the float range
+    @example([(i % 97) / 7 - 3.0 for i in range(1300)])  # three chunks of integer sums
+    @example([5e-324, *[0.25] * 600, 1e300])  # the scaled 1e300 overflows in the second chunk
+    def test_stdev_is_bit_for_bit_statistics_stdev(self, values):
+        expected = _outcome(statistics.stdev, values)
+        assert _outcome(stdev, values) == expected
+        assert _outcome(stdev, array("d", values)) == expected  # as simulate passes them
+
+    def test_stdev_falls_back_where_scaled_values_overflow(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(statistics, "stdev", lambda values: calls.append(values) or 1.0)
+        assert stdev([0.1, 0.2, 0.3]) != 1.0 and calls == []
+        assert stdev([1e300, 5e-324]) == 1.0 and calls == [[1e300, 5e-324]]
+        assert stdev(array("d", [1e300, 5e-324])) == 1.0 and calls[1] == array("d", [1e300, 5e-324])
+        assert stdev([0.5, math.nan]) == 1.0 and len(calls) == 3  # int(nan) raises ValueError
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
@@ -375,6 +409,45 @@ class TestStatistics:
         assert repr(summary.pop("latency_sd_s")) == repr(statistics.stdev(latencies) if len(latencies) > 1 else None)
         assert list(summary) == ["latency_mean_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s"]
         assert list(map(repr, summary.values())) == [repr(mean(values) if values else None) for values in columns]
+
+
+def _served(function, arrivals: list[float], cores: int, s: float, duration: float, warmup: float) -> tuple:
+    """What ``function``, ``_serve`` or its oracle, writes and returns for
+    one worker whose elements arrive at ``arrivals`` (sorted): its elements
+    have the odd ids, the first to arrive the highest, and the even ids
+    belong to elements it does not serve."""
+    arrivals = [a for a in arrivals if a <= duration]  # as simulate builds a worker's order
+    n = 2 * len(arrivals) + 1
+    order = [2 * (len(arrivals) - i) - 1 for i in range(len(arrivals))]  # odd ids, last first
+    arrival = array("d", [math.inf]) * n
+    for e, a in zip(order, arrivals):
+        arrival[e] = a
+    columns = SimpleNamespace(phase=bytearray(n), completed=array("d", [math.nan]) * n,
+                              queue_wait=array("d", [0.0]) * n)
+    arrived, busy = function(columns, order, arrival, cores, s, duration, warmup)
+    return ([x.hex() for x in columns.queue_wait], [x.hex() for x in columns.completed], bytes(columns.phase),
+            arrived, busy.hex())
+
+
+class TestServe:
+    """``_serve`` writes each element's wait, completion and phase and
+    returns the arrivals and busy time of the per-element loop it
+    replaced (``tests/serve_oracle.py``), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), max_size=60).map(sorted),
+           st.integers(1, 8), st.one_of(st.just(0.0), st.floats(0.0, 10.0)), st.floats(0.01, 60.0),
+           st.floats(0.0, 60.0))
+    @example([], 2, 1.0, 3.0, 0.5)  # an idle worker
+    @example([0.0, 0.0, 1.0, 2.0], 1, 0.0, 3.0, 0.5)  # no service time
+    @example([0.1, 0.2], 8, 1.0, 10.0, 1.0)  # more cores than elements
+    @example([0.0, 0.0, 0.0], 4, 10.0, 5.0, 1.0)  # every started element still in service
+    @example([0.0] * 8, 2, 1.0, 2.5, 0.0)  # elements left queued
+    @example([0.0, 1.0, 2.0, 3.0], 1, 2.0, 5.0, 4.0)  # warmup > duration - s
+    def test_serve_matches_the_loop_it_replaced(self, arrivals, cores, s, duration, warmup):
+        assume(warmup < duration)
+        assert _served(_serve, arrivals, cores, s, duration, warmup) == \
+            _served(serve, arrivals, cores, s, duration, warmup)
 
 
 class TestParams:
