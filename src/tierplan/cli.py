@@ -67,25 +67,29 @@ def _read_text(path: str) -> str:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from None
 
 
-def _load_target(target: str) -> tuple[DeploymentConfig, str | None, Topology]:
-    """Resolve a preset name or config file path to (config, preset_name,
-    topology)."""
+def _load_target(args, target: str) -> tuple[Topology, WorkloadProfile, dict]:
+    """A preset's or config file's topology, its workload with the flags,
+    and the manifest's record (preset, config_text, workload).  A config
+    that cannot be read or used is refused before a bad workload flag."""
     try:
         if target in PRESET_NAMES:
             config, preset = load_preset(target), target
         else:
             config, preset = parse_config(_read_text(target)), None
-        return config, preset, build_topology(config)
+        topology = build_topology(config)
     except ConfigError as exc:
         listing = "\n".join(str(d) for d in exc.diagnostics if d.severity == "error")
         raise CliError(EXIT_CONFIG, f"{target} is not a usable config:\n{listing}") from None
     except TopologyError as exc:
         raise CliError(EXIT_CONFIG, str(exc)) from None
+    workload = _resolve_workload(args, config)
+    return topology, workload, {"preset": preset, "config_text": render_config(config), "workload": workload}
 
 
 def _resolve_workload(args, config: DeploymentConfig | None) -> WorkloadProfile:
-    """Built-in profile, rate from the config's benchmark section when
-    present, both overridable by flags."""
+    """``DEFAULT_WORKLOAD`` with each workload flag given in place of its
+    field.  Without ``--rate``, the rate is the config's benchmark
+    frequency when that is positive."""
     proc = dict(DEFAULT_WORKLOAD.proc_time)
     for entry in args.tproc:
         tier, _, value = entry.partition("=")
@@ -96,18 +100,11 @@ def _resolve_workload(args, config: DeploymentConfig | None) -> WorkloadProfile:
         if tier not in TIERS or seconds is None:
             raise CliError(EXIT_ARGUMENT, f"--tproc takes TIER=SECONDS with tier one of {', '.join(TIERS)}, got {entry!r}")
         proc[tier] = seconds
-    rate = args.rate
-    if rate is None:
-        if config is not None and config.benchmark.data_generation_frequency > 0:
-            rate = config.benchmark.data_generation_frequency
-        else:
-            rate = DEFAULT_WORKLOAD.rate
-    workload = WorkloadProfile(
-        proc_time=proc,
-        pre_time=args.tpre if args.tpre is not None else DEFAULT_WORKLOAD.pre_time,
-        rate=rate,
-        element_size=args.size if args.size is not None else DEFAULT_WORKLOAD.element_size,
-    )
+    given = {name: value for name, value in (("pre_time", args.tpre), ("rate", args.rate), ("element_size", args.size))
+             if value is not None}
+    if "rate" not in given and config is not None and config.benchmark.data_generation_frequency > 0:
+        given["rate"] = config.benchmark.data_generation_frequency
+    workload = replace(DEFAULT_WORKLOAD, proc_time=proc, **given)
     workload.check()
     return workload
 
@@ -156,14 +153,14 @@ def _complain(text: str) -> None:
         _drop_buffer(sys.stderr)
 
 
-def _emit(args, body: str) -> int:
+def _emit(out: str | None, body: str) -> int:
     """Write the body to ``--out`` as UTF-8, else to stdout in the locale's
     codec, escaping what it cannot encode as stderr does.  A stdout that is
     closed (``None``) or fails, such as ``/dev/full``, is an I/O error, as
     an unwritable ``--out`` is."""
     try:
-        if args.out:
-            Path(args.out).write_text(body, encoding="utf-8")
+        if out:
+            Path(out).write_text(body, encoding="utf-8")
         elif sys.stdout is None:
             raise OSError("it is closed")
         else:
@@ -172,9 +169,9 @@ def _emit(args, body: str) -> int:
             sys.stdout.write(body)
             sys.stdout.flush()  # here, not at exit, so a failed write has an exit code
     except OSError as exc:
-        if not args.out:
+        if not out:
             _drop_buffer(sys.stdout)
-        raise CliError(EXIT_IO, f"cannot write {args.out or 'standard output'}: {exc}") from None
+        raise CliError(EXIT_IO, f"cannot write {out or 'standard output'}: {exc}") from None
     return EXIT_OK
 
 
@@ -233,13 +230,13 @@ def cmd_validate(args) -> int:
             "ok": ok,
             "diagnostics": list(map(asdict, diagnostics)),
         }
-        _emit(args, _json_body(payload))
+        _emit(args.out, _json_body(payload))
     else:
         lines = [str(d) for d in diagnostics]
         lines.append(f"{args.config}: {'ok' if ok else 'invalid'} "
                      f"({sum(d.severity == 'error' for d in diagnostics)} errors, "
                      f"{sum(d.severity == 'warning' for d in diagnostics)} warnings)")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_CONFIG
 
 
@@ -264,21 +261,20 @@ def _first_offload(workload: WorkloadProfile,
 def cmd_predict(args) -> int:
     from .analytic import family_from_topology, local_viability
 
-    config, preset, topology = _load_target(args.target)
+    topology, workload, record = _load_target(args, args.target)
     family = family_from_topology(topology)
-    workload = _resolve_workload(args, config)
 
     local = local_viability(workload, family.endpoint)
     placement, option, offload = _first_offload(workload, family)
 
     # the JSON body on both paths, so the text refuses what JSON cannot hold
     body = _json_body({
-        "manifest": _manifest("predict", preset=preset, config_text=render_config(config), workload=workload),
+        "manifest": _manifest("predict", **record),
         "local": local.to_dict(),
         "offload": {"placement": placement, **offload.to_dict()},
     })
     if args.json:
-        return _emit(args, body)
+        return _emit(args.out, body)
     endpoint = family.endpoint
     worker = option.worker
     lines = [
@@ -289,7 +285,7 @@ def cmd_predict(args) -> int:
         f"{option.link.latency_avg_ms:g} ms, {option.link.throughput_mbit:g} Mbit/s): "
         + _describe_verdict(offload),
     ]
-    return _emit(args, "\n".join(lines) + "\n")
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_heatmap(args) -> int:
@@ -298,13 +294,11 @@ def cmd_heatmap(args) -> int:
     spec = GridSpec(rate_max=args.rmax, proc_max=args.tmax,
                     rate_steps=args.resolution, proc_steps=args.resolution)
     if args.target is None:
-        config, preset, config_text = None, None, "reference family"
-        family = reference_family()
+        workload = _resolve_workload(args, None)
+        family, record = reference_family(), {"preset": None, "config_text": "reference family", "workload": workload}
     else:
-        config, preset, topology = _load_target(args.target)
-        config_text = render_config(config)
+        topology, workload, record = _load_target(args, args.target)
         family = family_from_topology(topology)
-    workload = _resolve_workload(args, config)
 
     grid = heatmap(spec, workload, family)
     markers = [
@@ -313,32 +307,31 @@ def cmd_heatmap(args) -> int:
         for label, rate, proc in REFERENCE_MARKERS
     ]
     manifest = _manifest(
-        "heatmap", preset=preset, config_text=config_text, workload=workload,
+        "heatmap", **record,
         parameters={"rate_max": args.rmax, "proc_max": args.tmax, "resolution": args.resolution},
     )
     if args.json:
         payload = {"manifest": manifest, "grid": grid.to_dict(), "markers": markers}
-        return _emit(args, _json_body(payload))
+        return _emit(args.out, _json_body(payload))
     lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}"]
     lines.append(grid.to_csv_text().rstrip("\n"))
     lines.append("")
     lines.append("marker,rate_hz,tproc_s,class")
     for marker in markers:
         lines.append(f"{marker['label']},{marker['rate_hz']:g},{marker['proc_s']:g},{marker['class']}")
-    return _emit(args, "\n".join(lines) + "\n")
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:
     from .simulator import SimParams, simulate, write_trace_csv
 
-    config, preset, topology = _load_target(args.target)
-    workload = _resolve_workload(args, config)
+    topology, workload, record = _load_target(args, args.target)
     params = SimParams(duration=args.duration, warmup=args.warmup, seed=args.seed,
                        max_elements=args.max_elements)
     report = simulate(topology, workload, params)
 
     manifest = _manifest(
-        "simulate", seed=args.seed, preset=preset, config_text=render_config(config), workload=workload,
+        "simulate", seed=args.seed, **record,
         parameters={"duration": args.duration, "warmup": params.warmup_s,
                     "max_elements": args.max_elements},
     )
@@ -351,7 +344,7 @@ def cmd_simulate(args) -> int:
                 write_trace_csv(report, stream)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write {args.trace}: {exc}") from None
-    return _emit(args, body)
+    return _emit(args.out, body)
 
 
 def _preset_summary(name: str, topology: Topology, workload: WorkloadProfile,
@@ -383,10 +376,7 @@ def cmd_compare(args) -> int:
     if args.repeats < 1:
         raise CliError(EXIT_ARGUMENT, f"--repeats must be at least 1, got {args.repeats}")
     params = SimParams(duration=args.duration, warmup=args.warmup, seed=args.seed)
-    runs = []  # (topology, workload) per preset
-    for name in args.presets:
-        config, _, topology = _load_target(name)
-        runs.append((topology, _resolve_workload(args, config)))
+    runs = [_load_target(args, name)[:2] for name in args.presets]  # (topology, workload) per preset
     # bounded before anything is simulated; a run that generates nothing
     # counts as one element, so many empty runs are bounded too, and the run
     # count is bounded first, in ints, so a huge --repeats overflows no float
@@ -410,7 +400,7 @@ def cmd_compare(args) -> int:
     )
     body = _json_body({"manifest": manifest, "presets": rows})  # refused on both paths, as in predict
     if args.json:
-        return _emit(args, body)
+        return _emit(args.out, body)
 
     def ms(seconds: float | None, width: int = 8, digits: int = 1) -> str:
         if seconds is None:
@@ -432,7 +422,7 @@ def cmd_compare(args) -> int:
         )
     lines.append(f"({args.repeats} runs per preset, seeds {args.seed}..{args.seed + args.repeats - 1}, "
                  f"{args.duration:g} s each)")
-    return _emit(args, "\n".join(lines) + "\n")
+    return _emit(args.out, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +451,15 @@ class _Parser(argparse.ArgumentParser):
         if file is not None:
             return super().print_help(file)
         try:
-            _emit(argparse.Namespace(out=None), self.format_help())
+            _emit(None, self.format_help())
         except CliError as exc:
             _complain(f"{self.prog}: {exc}\n")
             self.exit(exc.code)
 
 
+# bench/traced.py parses its argv with this parser and reads the attributes
+# of the namespace it returns, so a renamed ``dest`` or a default changed
+# to None breaks the traced pipeline as well as the commands.
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tierplan",

@@ -26,7 +26,7 @@ from tierplan.schemas import (
     SIMULATE_OUTPUT_SCHEMA,
     VALIDATE_OUTPUT_SCHEMA,
 )
-from tierplan.topology import TopologyError
+from tierplan.topology import DEFAULT_WORKLOAD, TopologyError
 
 LATENCY_FIELDS = ("latency_mean_s", "latency_sd_s", "communication_mean_s", "compute_mean_s", "queueing_mean_s")
 
@@ -632,6 +632,24 @@ def test_only_simulate_and_compare_use_the_seed(capsys, argv):
     for payload in (plain, seeded):
         assert payload.pop("manifest")["seed"] is None
     assert plain == seeded
+
+
+def test_rate_is_the_flag_else_the_configs_frequency_else_the_default(capsys, tmp_path, full_config_text):
+    # 7 Hz, since the presets' 5 Hz is also the default rate and cannot tell the two apart
+    configs = {}
+    for frequency in ("7", "0"):
+        configs[frequency] = tmp_path / f"{frequency}-hz.conf"
+        configs[frequency].write_text(full_config_text.replace("data_generation_frequency = 5",
+                                                               f"data_generation_frequency = {frequency}"))
+
+    def rate(*argv):
+        return run_json(capsys, *argv, "--json")["manifest"]["workload"]["rate_hz"]
+
+    for command, *extra in (("predict",), ("heatmap", "--resolution", "3"), ("simulate", "--duration", "2")):
+        assert rate(command, str(configs["7"]), *extra) == 7.0, command
+        assert rate(command, str(configs["7"]), *extra, "--rate", "3") == 3.0, command
+        assert rate(command, str(configs["0"]), *extra) == DEFAULT_WORKLOAD.rate, command
+    assert rate("heatmap", "--resolution", "3") == DEFAULT_WORKLOAD.rate
 
 
 def test_config_without_endpoints_exits_with_the_config_code(capsys, tmp_path):

@@ -22,6 +22,13 @@ these digests hold every verdict and every grid cell to the bit, so such a
 rewrite cannot move a load, a failed condition or a class unnoticed.  They
 were recorded before the model's verdicts came from one builder and its
 placements from one walk.
+
+Three more argvs pin what the command line feeds those models: every
+workload flag on ``predict mist`` and ``simulate edge-small``, each with a
+rate other than the default 5 Hz, and ``compare`` over all four presets
+with three repeats, whose rows average ``simulate`` reports.  They were
+recorded before each command took its topology, workload and manifest
+record from one call.
 """
 
 from __future__ import annotations
@@ -52,6 +59,13 @@ ANALYTIC_GOLDEN = {
     ("heatmap", "--json"): "c11fbd71e41a06a05764b57ccf860cd6a52361c37acf0f9aa8202569ace270d0",
     ("heatmap", "mist", "--resolution", "51", "--json"):
         "24ea090c6ac3471c731aa03c3ca6a64f0926f8c08738f3c69abbb593f68a14e0",
+    ("compare", "cloud", "edge-large", "edge-small", "mist", "--repeats", "3", "--duration", "8", "--seed", "811",
+     "--json"): "647980173082d3b41b21470bac8561a89dab881b0b005700b145f16dae1e7ca1",
+    ("predict", "mist", "--tpre", "0.3", "--rate", "7", "--size", "0.9", "--tproc", "endpoint=0.2", "--json"):
+        "7abfb54b3c09de2c1d93fe28a4f80444db14d364bb0d6f74619710f7b2139719",
+    ("simulate", "edge-small", "--tpre", "0.05", "--rate", "7", "--size", "0.9", "--tproc", "edge=0.2",
+     "--duration", "8", "--seed", "811", "--json"):
+        "e0c86231cbbdcdc19bf2f85bed00c7af9028441f1f705b73e235e81ab95f06a9",
 }
 
 
