@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterator
 
 from .config import _shown, load_preset
 from .topology import (
@@ -157,16 +156,22 @@ class DeploymentFamily:
     options: dict[str, OffloadOption] = field(default_factory=dict)
 
 
-def _placements(family: DeploymentFamily) -> Iterator[tuple[str, Device, int, Link | None]]:
+def _placements(family: DeploymentFamily) -> list[tuple[str, Device, int, Link | None]]:
     """(label, worker, endpoints per worker, link) of every placement the
-    family defines, in ``PLACEMENTS`` order.  Without an "endpoint" option
-    the endpoint processes locally: it is its own worker, over no link."""
-    for placement in PLACEMENTS:
-        option = family.options.get(placement)
+    family defines, in ``PLACEMENTS`` order, returned only once
+    ``_check_placement`` has passed every one.  Without an "endpoint"
+    option the endpoint processes locally: it is its own worker, over no
+    link."""
+    placements = []
+    for label in PLACEMENTS:
+        option = family.options.get(label)
         if option is not None:
-            yield placement, option.worker, option.endpoints_per_worker, option.link
-        elif placement == "endpoint":
-            yield placement, family.endpoint, 1, None
+            placements.append((label, option.worker, option.endpoints_per_worker, option.link))
+        elif label == "endpoint":
+            placements.append((label, family.endpoint, 1, None))
+    for placement in placements:
+        _check_placement(family.endpoint, *placement)
+    return placements
 
 
 def _check_placement(endpoint: Device, label: str, worker: Device, endpoints_per_worker: int,
@@ -191,21 +196,14 @@ def _check_placement(endpoint: Device, label: str, worker: Device, endpoints_per
                          f"got {_shown(link.throughput_mbit)}")
 
 
-def _check_family(family: DeploymentFamily) -> None:
-    """``_check_placement`` on every placement of the family, before any
-    is judged."""
-    for placement in _placements(family):
-        _check_placement(family.endpoint, *placement)
-
-
 def classify(workload: WorkloadProfile, family: DeploymentFamily) -> str:
     """First viable placement in ``PLACEMENTS`` order, or "not-viable".
 
     Placements the family defines no spec for are skipped, so restricted
     families (a single deployment, say) classify within their own options.
-    Raises ValueError for a family that ``_check_family`` refuses.
+    Every placement is checked before any is judged: raises ValueError
+    for a family that ``_placements`` refuses.
     """
-    _check_family(family)
     for label, worker, endpoints_per_worker, link in _placements(family):
         if _viability(workload, family.endpoint, worker, endpoints_per_worker, link).viable:
             return label
@@ -337,9 +335,9 @@ def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily)
     times once per row.  Unlike ``classify_at``, a tier the family offers
     with no processing time in ``workload`` is rejected up front, even where
     an earlier placement would have been viable.  The family is checked
-    once, as ``classify`` checks it.
+    once, first, as ``classify`` checks it.
     """
-    _check_family(family)
+    checked = _placements(family)
     rates = _linspace(spec.rate_max, spec.rate_steps)
     procs = _linspace(spec.proc_max, spec.proc_steps)
     anchor = _anchor(workload)
@@ -353,7 +351,7 @@ def heatmap(spec: GridSpec, workload: WorkloadProfile, family: DeploymentFamily)
         (label, workload.proc_on(worker.tier), endpoints_per_worker, capacity_of(worker),
          everywhere if link is None else
          [pre and rate * workload.element_size <= link.throughput_mbit for pre, rate in zip(pre_fits, rates)])
-        for label, worker, endpoints_per_worker, link in _placements(family)
+        for label, worker, endpoints_per_worker, link in checked
     ]
 
     cells = []

@@ -277,15 +277,56 @@ class TestHandBuiltFamily:
         assert classify(DEFAULT_WORKLOAD, _with(endpoint=replace(ENDPOINT, quota=0.1),
                                                 worker=replace(SMALL_EDGE, quota=math.inf))) == "edge"
 
+    def test_every_placement_is_checked_before_any_is_judged(self):
+        family = reference_family()
+        grid = GridSpec(rate_steps=3, proc_steps=3)
+
+        def broken(*tiers: str) -> DeploymentFamily:
+            """The reference family with a quota of -1 on the named tiers' workers."""
+            return replace(family, options={
+                tier: replace(option, worker=replace(option.worker, quota=-1)) if tier in tiers else option
+                for tier, option in family.options.items()})
+
+        # a viable local placement does not hide a malformed edge worker
+        light = DEFAULT_WORKLOAD.scale_proc(0.1)
+        assert classify(light, family) == "endpoint"
+        assert classify_at(DEFAULT_WORKLOAD, family, 1.0, 0.011) == "endpoint"
+        with pytest.raises(ValueError, match="edge worker needs"):
+            classify(light, broken("edge"))
+        with pytest.raises(ValueError, match="edge worker needs"):
+            classify_at(DEFAULT_WORKLOAD, broken("edge"), 1.0, 0.011)
+        # of two malformed placements, the first in PLACEMENTS order is named
+        both = broken("edge", "cloud")
+        for call in (lambda: classify(DEFAULT_WORKLOAD, both), lambda: classify_at(DEFAULT_WORKLOAD, both, 5.0, 0.11),
+                     lambda: heatmap(grid, DEFAULT_WORKLOAD, both)):
+            with pytest.raises(ValueError, match="edge worker needs"):
+                call()
+        # heatmap checks the family before its anchor; classify_at takes
+        # the anchor before it classifies
+        no_anchor = DEFAULT_WORKLOAD.scale_proc(0.0)
+        with pytest.raises(ValueError, match="edge worker needs"):
+            heatmap(grid, no_anchor, broken("edge"))
+        with pytest.raises(ValueError, match="positive endpoint processing time"):
+            classify_at(no_anchor, broken("edge"), 1.0, 0.011)
+        # a malformed worker is named before its tier's missing time is read
+        no_cloud = WorkloadProfile(proc_time={"endpoint": 0.11, "edge": 0.14}, pre_time=0.001, rate=100.0,
+                                   element_size=0.54)
+        with pytest.raises(ValueError, match="no processing time for tier 'cloud'"):
+            classify(no_cloud, family)
+        for call in (lambda: heatmap(grid, no_cloud, broken("cloud")), lambda: classify(no_cloud, broken("cloud"))):
+            with pytest.raises(ValueError, match="cloud worker needs"):
+                call()
+
     def test_checked_once_per_call(self, monkeypatch):
         from tierplan import analytic
 
-        checks = []
-        check = analytic._check_family
-        monkeypatch.setattr(analytic, "_check_family", lambda family: checks.append(1) or check(family))
+        # the walk that checks the family: once per heatmap, not per cell
+        walks = []
+        walk = analytic._placements
+        monkeypatch.setattr(analytic, "_placements", lambda family: walks.append(1) or walk(family))
         heatmap(GridSpec(rate_steps=9, proc_steps=9), DEFAULT_WORKLOAD, reference_family())
         classify_at(DEFAULT_WORKLOAD, reference_family(), 5.0, 0.11)
-        assert len(checks) == 2
+        assert len(walks) == 2
 
 
 class TestFamilyFromTopology:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import statistics
@@ -290,6 +291,22 @@ class TestHeatmap:
         assert namespace["simulator"] is simulator
         with pytest.raises(AttributeError):
             tierplan.no_such_name
+
+    def test_dir_lists_every_name_before_any_is_resolved(self):
+        """In a fresh interpreter no name is resolved yet, so ``dir`` must
+        list ``__all__`` itself, and listing imports no submodule."""
+        package_root = str(Path(tierplan.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys, tierplan\n"
+            "listed = dir(tierplan)\n"
+            "missing = sorted(set(tierplan.__all__) - set(listed))\n"
+            "assert not missing, f'dir lacks {missing}'\n"
+            "loaded = [name for name in sys.modules if name.startswith('tierplan.')]\n"
+            "assert not loaded, f'dir imported {loaded}'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_out_writes_the_file(self, capsys, tmp_path):
         target = tmp_path / "grid.csv"
@@ -689,6 +706,12 @@ class TestParsing:
         out = capsys.readouterr().out
         for name in ("validate", "predict", "heatmap", "simulate", "compare"):
             assert name in out
+
+    def test_help_given_a_file_is_written_to_that_file(self, capsys):
+        buffer = io.StringIO()
+        cli.build_parser().print_help(buffer)
+        assert buffer.getvalue() == cli.build_parser().format_help()
+        assert capsys.readouterr().out == ""
 
     def test_simulate_and_compare_share_the_run_defaults(self):
         parser = cli.build_parser()

@@ -60,8 +60,11 @@ def paths(tmp_path_factory) -> dict[str, str]:
     root = tmp_path_factory.mktemp("fuzz")
     (root / "binary.conf").write_bytes(b"\xff\xfe\x00bad")
     (root / "edge-small.conf").write_text(render_config(load_preset("edge-small")))
-    names = ("binary.conf", "edge-small.conf", "absent.conf", "out.txt", "trace.csv", "no-dir/out.txt",
-             "no-dir/trace.csv")
+    # parses into two errors, which the CLI lists after a line naming the file
+    (root / "listing.conf").write_text(render_config(load_preset("edge-small")).replace(
+        "devices_per_tier = 1,10,20", "devices_per_tier = 1,10\nunknown_key = 1"))
+    names = ("binary.conf", "edge-small.conf", "listing.conf", "absent.conf", "out.txt", "trace.csv",
+             "no-dir/out.txt", "no-dir/trace.csv")
     return {"dir": str(root), **{name: str(root / name) for name in names}}
 
 
@@ -74,7 +77,8 @@ def argvs(draw, paths: dict[str, str]) -> list[str]:
     """Mostly the flags of the command drawn, sometimes any flag, an
     unknown command or no target."""
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS) + ([""] if _rarely(draw) else [])))
-    odd_targets = ("fog", "", paths["binary.conf"], paths["edge-small.conf"], paths["absent.conf"], paths["dir"])
+    odd_targets = ("fog", "", *(paths[name] for name in ("binary.conf", "edge-small.conf", "listing.conf",
+                                                          "absent.conf", "dir")))
     targets = st.sampled_from(PRESET_NAMES * (4 if command == "compare" else 1) + odd_targets)
     argv = [command, *draw(st.lists(targets, min_size=0 if _rarely(draw) else 1,
                                     max_size=4 if command == "compare" else 1))]

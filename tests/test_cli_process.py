@@ -7,6 +7,9 @@ streams that cannot fail.  Here Hypothesis draws an argv from that file's
 pools, or ``--help`` on a command, and a fate for each stream: a pipe,
 ``/dev/full``, or closed by a shell wrapper.  The CLI runs in a new
 interpreter, once with both streams piped and once with the fates drawn.
+A config file that parses into errors, whose refusal is the one stderr
+listing of more than a line, also runs through ``predict``, ``simulate``
+and ``heatmap`` with each fate of stderr, whatever Hypothesis draws.
 """
 
 from __future__ import annotations
@@ -39,12 +42,17 @@ def _run(argv: list[str], stdout_fate: str, stderr_fate: str) -> subprocess.Comp
 def _assert_documented(process: subprocess.CompletedProcess) -> None:
     """A documented exit code, no traceback, and one stderr line at most
     unless it is argparse's usage block, ``usage:`` text then an
-    ``error:`` line."""
+    ``error:`` line, or, for exit 3, a config file's listing: a line
+    naming the file, then one ``error:`` line per error."""
     assert process.returncode in (EXIT_OK, EXIT_ARGUMENT, EXIT_CONFIG, EXIT_IO), process.stderr
     errors = process.stderr or ""
     assert "Traceback" not in errors
+    lines = errors.splitlines()
     if process.returncode == EXIT_ARGUMENT and errors.startswith("usage:"):
-        assert ": error: " in errors.splitlines()[-1], errors
+        assert ": error: " in lines[-1], errors
+    elif process.returncode == EXIT_CONFIG and len(lines) > 1:
+        assert lines[0].endswith(" is not a usable config:"), errors
+        assert all(line.startswith("error: ") for line in lines[1:]), errors
     else:
         assert errors.count("\n") <= 1, errors
 
@@ -62,3 +70,13 @@ def test_every_argv_and_stream_fate_ends_in_a_documented_exit_code(paths, data):
     # loses the message, not the exit code
     failed_write = bool(piped.stdout) and stdout_fate != "pipe"
     assert fated.returncode == (EXIT_IO if failed_write else piped.returncode), (fated.stderr, piped.stderr)
+
+
+@pytest.mark.parametrize("stderr_fate", FATES)
+@pytest.mark.parametrize("command", ["predict", "simulate", "heatmap"])
+def test_a_config_listing_exits_3_whatever_becomes_of_stderr(paths, command, stderr_fate):  # noqa: F811
+    process = _run([command, paths["listing.conf"]], "pipe", stderr_fate)
+    _assert_documented(process)
+    assert process.returncode == EXIT_CONFIG
+    if stderr_fate == "pipe":  # the line naming the file, then its two errors
+        assert len(process.stderr.splitlines()) == 3, process.stderr
