@@ -59,7 +59,9 @@ The latency sd is ``statistics.stdev``'s float from exact integer sums
 (``stdev``): scaled by a power of two that makes every value an integer,
 the sums of the values and of their squares are exact, so the sample
 variance is an exact fraction whose square root is rounded correctly.
-``statistics`` is imported only where those sums cannot serve.
+``statistics`` is imported only where those sums cannot serve.  From
+``_FORK_MEASURED`` measured elements on, a forked child takes the latency
+mean and sd while this process takes the component means (``_fork``).
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capa
 # Largest run simulate accepts, in elements: a run peaks at 44 (wide) to 155
 # bytes per element (one source), by tracemalloc (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
+_FORK_MEASURED = 10_000  # measured elements from which simulate takes the latency mean and sd in a child
 
 
 @dataclass(frozen=True)
@@ -453,20 +456,27 @@ def _integer_sqrt_of_frac_rto(n: int, m: int) -> int:
     return a | (a * a * m != n)
 
 
-def latency_summary(latencies: Iterable[float], communication: Iterable[float],
-                    compute: Iterable[float], queueing: Iterable[float]) -> dict[str, float | None]:
+def latency_summary(latencies: Iterable[float], communication: Iterable[float], compute: Iterable[float],
+                    queueing: Iterable[float], fork: bool = False) -> dict[str, float | None]:
     """The latency statistics of a report: ``latency_mean_s`` and
     ``latency_sd_s`` of ``latencies``, then the ``mean`` of each component.
     The sd is ``stdev``, None below two values; a mean is None for none.
-    Each iterable is read into one array, dropped before the next is read,
-    so one array is alive at a time."""
-    values = array("d", latencies)
-    summary = {"latency_mean_s": mean(values), "latency_sd_s": stdev(values) if len(values) > 1 else None}
-    del values
-    for key, component in (("communication_mean_s", communication), ("compute_mean_s", compute),
-                           ("queueing_mean_s", queueing)):
-        summary[key] = mean(array("d", component))
-    return summary
+    Each iterable is read into one array, dropped before the next is read.
+    With ``fork``, where ``_may_fork`` allows, a child takes the latencies'
+    mean and sd by the same code while this process takes the means, or,
+    if the child fails, reads its own, unread, copy of ``latencies``."""
+    def latency_mean_sd() -> dict[str, float | None]:
+        values = array("d", latencies)
+        return {"latency_mean_s": mean(values), "latency_sd_s": stdev(values) if len(values) > 1 else None}
+
+    def component_means() -> dict[str, float | None]:
+        return {key: mean(array("d", values)) for key, values in (
+            ("communication_mean_s", communication), ("compute_mean_s", compute), ("queueing_mean_s", queueing))}
+
+    if fork and _may_fork():
+        means, code, head = _fork(latency_mean_sd, component_means)
+        return {**(head if code == 0 else latency_mean_sd()), **means}
+    return {**latency_mean_sd(), **component_means()}
 
 
 def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -> SimReport:
@@ -523,9 +533,9 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     completed_early = sum(map(lt, memoryview(columns.completed)[:warming], itertools.repeat(warmup)))
     completed_in_window = phase_counts["done"] - completed_early
 
-    # the measured elements: done, and generated from warmup on; the
-    # components are read twice, for the latencies and for the means
+    # the measured elements, done and generated from warmup on; components read twice, for latencies and means
     measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
+    n_measured = columns.phase.count(_DONE, warming)
     latencies = _end_to_end(*columns.components(early, len(g)))
     pre, transfer, propagation, queue_wait, service = columns.components(early, len(g))
 
@@ -533,9 +543,10 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
         params=params,
         generated=n,
         completed=phase_counts["done"],
-        measured=columns.phase.count(_DONE, warming),
+        measured=n_measured,
         **latency_summary(*(itertools.compress(values, measured) for values in (
-            latencies, map(add, transfer, propagation), map(add, pre, service), queue_wait))),
+            latencies, map(add, transfer, propagation), map(add, pre, service), queue_wait)),
+            fork=n_measured >= _FORK_MEASURED),
         worker_load_percent=worker_load,
         worker_busy_fraction=worker_busy,
         throughput_eps=completed_in_window / window,
@@ -581,13 +592,43 @@ def _format_rounds(columns: _Columns, prefixes: list[str], services: list[str], 
 
 
 def _may_fork() -> bool:
-    """Whether ``write_trace_csv`` may fork a second formatter: ``os.fork``
+    """Whether a second process may be forked (``_fork``): ``os.fork``
     exists, this process may run on two CPUs or more, and no other thread
     runs (the child would hold a copy of any lock another thread holds)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return cpus >= 2
+
+
+def _fork(child: Callable[[], object], parent: Callable[[], object]) -> tuple[object, int, object]:
+    """``parent()``, the exit code of a child forked to run ``child()`` meanwhile (1 where
+    it raised, minus the signal that killed it) and, for 0, ``child()`` sent back by
+    ``marshal`` through a pipe.  The child leaves by ``os._exit``, is killed where ``parent``
+    raises and is always reaped; where ``os.fork`` fails, ``child()`` runs here after."""
+    read, write = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as sink:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            return parent(), 0, child()
+        if pid == 0:  # the child
+            status = 1
+            try:
+                marshal.dump(child(), sink)
+                sink.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        sink.close()  # the child holds the only write end left: EOF comes when it exits
+        try:
+            result, sent = parent(), pipe.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    return result, os.waitstatus_to_exitcode(status), marshal.loads(sent) if status == 0 else None
 
 
 def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
@@ -602,11 +643,11 @@ def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     cells, the preprocess and the transfer of a round.
 
     A trace of two chunks or more, where ``_may_fork`` allows, is formatted
-    by two processes: a forked child formats the second half of the chunks
-    into an unlinked temporary file while this process formats and writes
-    the first half, then copies the child's chunks to ``stream``.  Each
-    process holds one chunk at a time.  Raises ``OSError`` if the child
-    fails; the child is reaped on every path."""
+    by two processes (``_fork``): a child formats the second half of the
+    chunks into an unlinked temporary file while this process formats and
+    writes the first half, then copies the child's chunks to ``stream``.
+    Each process holds one chunk at a time.  Raises ``OSError`` if the
+    child fails; where none can be forked, formats both halves here."""
     columns = report.columns
     stream.write(",".join(_TRACE_COLUMNS) + "\r\n")
     if not columns.sources:
@@ -614,34 +655,23 @@ def write_trace_csv(report: SimReport, stream: IO[str]) -> None:
     prefixes, services = _csv_prefixes(columns.sources), list(map(repr, columns.service))
     chunk = max(1, _TRACE_CHUNK_ROWS // len(prefixes))  # rounds per chunk
     starts = range(0, len(columns.generated), chunk)
-    if len(starts) < 2 or not _may_fork():
-        for k0 in starts:
+
+    def write(rounds: range) -> None:
+        for k0 in rounds:
             stream.write(_format_rounds(columns, prefixes, services, k0, k0 + chunk))
+
+    if len(starts) < 2 or not _may_fork():
+        write(starts)
         return
     half = len(starts) // 2
     with tempfile.TemporaryFile() as spool:
-        pid = os.fork()
-        if pid == 0:  # the child: leaves through os._exit on every path
-            status = 1
-            try:
-                for k0 in starts[half:]:
-                    marshal.dump(_format_rounds(columns, prefixes, services, k0, k0 + chunk), spool)
-                spool.flush()
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            for k0 in starts[:half]:
-                stream.write(_format_rounds(columns, prefixes, services, k0, k0 + chunk))
-        except BaseException:
-            import signal
+        def spool_second_half() -> None:
+            for k0 in starts[half:]:
+                marshal.dump(_format_rounds(columns, prefixes, services, k0, k0 + chunk), spool)
+            spool.flush()
 
-            os.kill(pid, signal.SIGKILL)  # its chunks would not be written
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if status != 0:
-            code = os.waitstatus_to_exitcode(status)
+        _, code, _ = _fork(spool_second_half, partial(write, starts[:half]))
+        if code != 0:
             raise OSError(f"the process formatting the second half of the trace exited with {code}")
         spool.seek(0)
         for _ in starts[half:]:

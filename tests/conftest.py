@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
 
 # A full deployment file exercising every key class: emulation-only keys,
@@ -57,3 +60,25 @@ def full_config_file(tmp_path, full_config_text):
     path = tmp_path / "deployment.conf"
     path.write_text(full_config_text)
     return path
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Every ``os.fork`` made, counted, with two CPUs on any machine and the
+    temporary directory in ``tmp_path / "spool"``; after the test, no child
+    is left.  ``simulate`` forks for runs of ``_FORK_MEASURED`` measured
+    elements or more, so a test that counts the trace writer's forks
+    simulates fewer."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (tmp_path / "spool").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "spool"))
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield calls
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -6,7 +6,10 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import statistics
+import threading
+import time
 import tracemalloc
 from array import array
 from types import SimpleNamespace
@@ -14,6 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tierplan import simulator
 from tierplan.analytic import offload_viability
 from tierplan.config import parse_config
 from tierplan.simulator import (
@@ -39,6 +43,7 @@ from tierplan.topology import (
 )
 
 from serve_oracle import serve
+from test_engine_oracle import run_params, topologies, workloads
 from timeline_oracle import generation_times
 
 # one cloud worker with a single full-speed core, two endpoints, no network
@@ -411,6 +416,135 @@ class TestStatistics:
         assert list(map(repr, summary.values())) == [repr(mean(values) if values else None) for values in columns]
 
 
+def bits(value):
+    """A report dict with every float as its ``hex()``, so that equal means bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    return {key: bits(item) for key, item in value.items()} if isinstance(value, dict) else value
+
+
+def in_process(topology, workload, params):
+    """The run's report with the latency mean and sd taken in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_may_fork", lambda: False)
+        return simulate(topology, workload, params)
+
+
+def in_the_child(monkeypatch, action):
+    """Make ``stdev`` run ``action`` first in any process but this one."""
+    parent, real = os.getpid(), simulator.stdev
+
+    def patched(values):
+        if os.getpid() != parent:
+            action()
+        return real(values)
+
+    monkeypatch.setattr(simulator, "stdev", patched)
+
+
+CLOUD = build_topology(load_preset("cloud"))
+LONG = SimParams(duration=80.0, seed=3)  # 14,360 measured elements: above _FORK_MEASURED
+SHORT = SimParams(duration=40.0, seed=3)  # 7,160: below it
+
+
+class TestForkedSummary:
+    """From ``_FORK_MEASURED`` measured elements on, the latency mean and sd
+    are taken in a forked child, to the bits the in-process path gives."""
+
+    @pytest.mark.parametrize("name", ["cloud", "edge-large", "edge-small", "mist"])
+    def test_presets_at_full_size_keep_their_bits(self, name, forks):
+        topology, params = build_topology(load_preset(name)), SimParams(duration=400.0, seed=811)
+        forked = simulate(topology, DEFAULT_WORKLOAD, params)
+        assert len(forks) == 1 and forked.measured >= simulator._FORK_MEASURED
+        assert bits(forked.to_dict()) == bits(in_process(topology, DEFAULT_WORKLOAD, params).to_dict())
+        assert len(forks) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(topologies, workloads, run_params())
+    def test_small_runs_keep_their_bits(self, topology, workload, params):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            patch.setattr(simulator, "_FORK_MEASURED", 0)
+            forked = simulate(topology, workload, params)
+        assert bits(forked.to_dict()) == bits(in_process(topology, workload, params).to_dict())
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_run_above_the_threshold_forks_once(self, forks):
+        assert simulate(CLOUD, DEFAULT_WORKLOAD, LONG).measured == 14_360
+        assert len(forks) == 1
+
+    def test_a_run_below_the_threshold_stays_in_process(self, forks):
+        assert simulate(CLOUD, DEFAULT_WORKLOAD, SHORT).measured == 7_160
+        assert forks == []
+
+    def test_second_thread_keeps_it_in_process(self, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert forks == []
+
+    def test_one_cpu_keeps_it_in_process(self, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        assert forks == []
+
+    def test_without_fork_it_stays_in_process(self, forks, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        report = simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        assert forks == []
+        assert bits(report.to_dict()) == bits(in_process(CLOUD, DEFAULT_WORKLOAD, LONG).to_dict())
+
+    def test_failed_fork_runs_both_halves_here(self, forks, monkeypatch):
+        def refused():
+            forks.append(os.getpid())
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        report = simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        assert len(forks) == 1
+        assert bits(report.to_dict()) == bits(in_process(CLOUD, DEFAULT_WORKLOAD, LONG).to_dict())
+        if descriptors is not None:  # the pipe is closed
+            assert len(os.listdir("/proc/self/fd")) == descriptors
+
+    @pytest.mark.parametrize("failure", ["exit 1", "raise", "killed"])
+    def test_failed_child_leaves_the_report_unchanged(self, failure, forks, monkeypatch):
+        def fail():
+            if failure == "exit 1":
+                os._exit(1)
+            if failure == "killed":
+                os.kill(os.getpid(), 9)
+            raise RuntimeError("stdev failed")
+
+        in_the_child(monkeypatch, fail)
+        report = simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        assert len(forks) == 1
+        assert bits(report.to_dict()) == bits(in_process(CLOUD, DEFAULT_WORKLOAD, LONG).to_dict())
+
+    def test_parent_failure_kills_and_reaps_the_child(self, forks, monkeypatch):
+        in_the_child(monkeypatch, lambda: time.sleep(60))  # the child still runs when the parent fails
+        parent, real = os.getpid(), simulator.mean
+
+        def failing_mean(values):
+            if os.getpid() == parent:
+                raise MemoryError("component means failed")
+            return real(values)
+
+        monkeypatch.setattr(simulator, "mean", failing_mean)
+        start = time.monotonic()
+        with pytest.raises(MemoryError, match="component means failed"):
+            simulate(CLOUD, DEFAULT_WORKLOAD, LONG)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
+
+
 def _served(function, arrivals: list[float], cores: int, s: float, duration: float, warmup: float) -> tuple:
     """What ``function``, ``_serve`` or its oracle, writes and returns for
     one worker whose elements arrive at ``arrivals`` (sorted): its elements
@@ -588,7 +722,17 @@ def traced_bytes_per_element(topology, params):
     return report, peak / report.generated, retained / report.generated
 
 
-def test_columns_stay_small_per_element():
+def summary_path(monkeypatch, fork: bool):
+    """Make ``simulate`` take the latency mean and sd in a child (two CPUs on
+    any machine) or in process (``_may_fork`` false, as on every one-CPU
+    machine).  ``tracemalloc`` sees this process only, so only the in-process
+    path shows the latencies array to the bounds."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if not fork:
+        monkeypatch.setattr(simulator, "_may_fork", lambda: False)
+
+
+def columns_stay_small_per_element():
     """Only propagation, queue wait, completion time and phase are kept per
     element, as typed arrays: simulating 80,040 elements peaks under 50
     bytes per element, and the report keeps under 36."""
@@ -599,7 +743,17 @@ def test_columns_stay_small_per_element():
     assert retained < 36
 
 
-def test_columns_stay_small_with_many_sources():
+def test_columns_stay_small_per_element(monkeypatch):
+    summary_path(monkeypatch, fork=True)
+    columns_stay_small_per_element()
+
+
+def test_columns_stay_small_per_element_in_process(monkeypatch):
+    summary_path(monkeypatch, fork=False)
+    columns_stay_small_per_element()
+
+
+def columns_stay_small_with_many_sources():
     """Service times are kept per source and expanded without a copy: 1,000
     sources for 5 rounds peak under 86 bytes per element (an
     ``itertools.cycle`` over the per-source times peaks at about 89) and keep
@@ -609,6 +763,16 @@ def test_columns_stay_small_with_many_sources():
     assert report.generated == 5_000
     assert peak < 86
     assert retained < 54
+
+
+def test_columns_stay_small_with_many_sources(monkeypatch):
+    summary_path(monkeypatch, fork=True)
+    columns_stay_small_with_many_sources()
+
+
+def test_columns_stay_small_with_many_sources_in_process(monkeypatch):
+    summary_path(monkeypatch, fork=False)
+    columns_stay_small_with_many_sources()
 
 
 @pytest.mark.parametrize(("topology", "peak_bound", "kept_bound"), [

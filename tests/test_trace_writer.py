@@ -7,7 +7,6 @@ from __future__ import annotations
 import io
 import os
 import random
-import tempfile
 import threading
 import tracemalloc
 
@@ -114,23 +113,6 @@ class TestMatchesCsvWriter:
 OVERLOAD = WorkloadProfile({"cloud": 0.14, "edge": 0.16, "endpoint": 0.11}, 0.001, 5.0, 0.54)
 
 
-@pytest.fixture
-def forks(monkeypatch, tmp_path):
-    """Every fork write_trace_csv makes, counted, with two CPUs on any
-    machine and the temporary directory in ``tmp_path / "spool"``."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    (tmp_path / "spool").mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "spool"))
-    calls, fork = [], os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def fail_in_the_child(monkeypatch):
     """Make the chunk formatter raise in any process but this one."""
     parent, format_rounds = os.getpid(), simulator._format_rounds
@@ -179,6 +161,7 @@ class TestSplitAcrossTwoProcesses:
     def test_child_failure_raises_oserror_and_leaves_nothing(self, forks, monkeypatch, tmp_path):
         fail_in_the_child(monkeypatch)
         report = simulate(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0))
+        assert report.measured < simulator._FORK_MEASURED and forks == []
         with pytest.raises(OSError, match="exited with 1"):
             write_trace_csv(report, io.StringIO(newline=""))
         assert len(forks) == 1
@@ -195,6 +178,7 @@ class TestSplitAcrossTwoProcesses:
 
     def test_stream_failure_reaps_the_child(self, forks, tmp_path):
         report = simulate(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0))
+        assert report.measured < simulator._FORK_MEASURED and forks == []
 
         class Full:
             def write(self, text):
@@ -204,6 +188,16 @@ class TestSplitAcrossTwoProcesses:
 
         with pytest.raises(OSError, match="no space left"):
             write_trace_csv(report, Full())
+        assert len(forks) == 1
+        assert_no_child_left(tmp_path)
+
+    def test_failed_fork_formats_both_halves_in_process(self, forks, monkeypatch, tmp_path):
+        def refused():
+            forks.append(os.getpid())
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0, seed=4))
         assert len(forks) == 1
         assert_no_child_left(tmp_path)
 
