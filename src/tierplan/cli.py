@@ -15,8 +15,8 @@ import json
 import os
 import re
 import sys
+import time
 from dataclasses import asdict, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -124,7 +124,7 @@ def _manifest(command: str, *, seed: int | None = None, preset: str | None = Non
     data = {
         "command": command,
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "seed": seed,
         "preset": preset,
         "config_text": config_text,

@@ -39,16 +39,19 @@ preprocessing times or endpoint cores, and (through ``Topology.check``) a
 worker that processes its own elements and other sources' too.
 
 A run is kept as columns (``_Columns``), each quantity at the level where
-it varies.  By round, as ``array('d')``: the timeline, and the preprocess
-and transfer every offloaded source shares, for the rounds that reached
-each stage.  By source rank: whether the source offloads, and its worker's
-service time.  By element: propagation, queue wait and completion time as
-``array('d')`` (NaN where not done), and one ``bytearray`` of indices into
-``PHASES``.  An element's preprocess and transfer are its round's where
-its source offloads and the round reached the stage, else 0.0; its service
-is its source's.  ``_Columns.components`` expands the five durations per
-element on the fly, for the report (of done elements), the records and the
-trace alike, which show a service and a completion only when done.
+it varies.  By round, as ``array('d')``: the timeline, and when the rounds
+that reached each stage were preprocessed and sent, times every offloaded
+source shares.  By source rank: whether the source offloads, and its
+worker's service time.  By element, 17 bytes: propagation and start time as
+``array('d')`` and a ``bytearray`` of indices into ``PHASES``.  The start is
+the arrival until the element starts (0.0 if never sent), so the queue wait,
+``start - arrival``, is 0.0 where it never started, and the completion is
+``start + service``.  An element's preprocess (``prepared - generated``)
+and transfer (``sent - prepared``) are its round's where its source
+offloads and the round reached the stage, else 0.0.
+``_Columns.components`` expands the five durations per element on the fly,
+for the report (of done elements), the records and the trace alike, which
+show a service and a completion only when done.
 Records are built only for ``SimReport.elements``, and ``write_trace_csv``
 formats the columns a chunk of rounds at a time, the second half of the
 chunks in a forked child where it can.  Waiting for the endpoint CPU counts
@@ -80,14 +83,14 @@ import threading
 from array import array
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial, reduce
-from operator import add, lt, mul, sub
+from operator import add, ge, le, lt, mul, sub
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .config import _shown
 from .topology import Link, Topology, WorkloadProfile, _is_int, _is_number, capacity_of
 
-# Largest run simulate accepts, in elements: a run peaks at 44 (wide) to 155
-# bytes per element (one source), by tracemalloc (see README, "Simulator model").
+# Largest run simulate accepts, in elements: a run peaks at about 27 (wide) to 91
+# bytes per element (one offloading source), by tracemalloc (see README, "Simulator model").
 MAX_ELEMENTS = 2_000_000
 _FORK_MEASURED = 10_000  # measured elements from which simulate takes the latency mean and sd in a child
 
@@ -141,41 +144,48 @@ _TRACE_COLUMNS = (
     "source", "worker", "index", "generated_s", "preprocess_s", "transfer_s",
     "propagation_s", "queue_wait_s", "service_s", "end_to_end_s", "completed_s", "phase",
 )
-_TRACE_CHUNK_ROWS = 2000  # rows write_trace_csv formats at a time, in whole rounds
+_TRACE_CHUNK_ROWS = 500  # rows write_trace_csv formats at a time, in whole rounds
 
 
 @dataclass
 class _Columns:
-    """A run's results, element ``k * len(sources) + rank`` being round ``k``
-    of the source at that rank (the order elements are generated in), each
-    quantity kept at the level where it varies (see the module docstring)."""
+    """A run's results, element ``k * len(sources) + rank`` being round ``k`` of the source at that
+    rank (the order elements are generated in), each quantity kept at the level where it varies: 17
+    bytes per element and 8 to 24 per round (see the module docstring)."""
 
     sources: list[tuple[str, str]]   # (source id, worker id) by rank
     offloads: bytes                  # by rank: 1 where the source offloads, else 0
     service: array                   # array('d') by rank: its worker's service time
     generated: array                 # array('d') by round
-    preprocess: array                # array('d') by round preprocessed within the run
-    transfer: array                  # array('d') by round sent within the run
+    prepared: array                  # array('d') by round preprocessed within the run: its preprocessing's end
+    sent: array                      # array('d') by round sent within the run: its transfer's end
     propagation: array               # array('d') by element
-    queue_wait: array                # array('d') by element
-    completed: array                 # array('d') by element, NaN where the element is not done
+    start: array                     # array('d') by element: its start, else its arrival (0.0 if never sent)
     phase: bytearray                 # by element: index into PHASES
 
     def components(self, k0: int, k1: int) -> tuple[Iterable[float], ...]:
         """The five durations of each element in rounds ``k0`` up to ``k1``
-        (within the run), in ``ElementRecord`` order: propagation and queue wait
-        as memoryviews, the others as iterators, each new.  The service is the
-        source's in every phase; ``rows`` and ``_format_rounds`` show it only when done."""
+        (within the run), in ``ElementRecord`` order: propagation as a memoryview, the others
+        as iterators, each new.  The wait is the start less the arrival (send plus propagation,
+        or the generation where the source serves itself), 0.0 where the element never started.
+        The service is the source's in every phase; ``rows`` and ``_format_rounds`` show it only when done."""
         lo, hi = k0 * len(self.sources), k1 * len(self.sources)
-        pre, transfer = (_spread(memoryview(by_round)[k0:k1], k1 - k0, self.offloads, 0.0)
-                         for by_round in (self.preprocess, self.transfer))
-        return (pre, transfer, memoryview(self.propagation)[lo:hi], memoryview(self.queue_wait)[lo:hi],
+        pre, transfer = (_spread(map(sub, memoryview(t1)[k0:k1], memoryview(t0)[k0:k1]), k1 - k0, self.offloads, 0.0)
+                         for t1, t0 in ((self.prepared, self.generated), (self.sent, self.prepared)))
+        origin = _spread(memoryview(self.sent)[k0:k1], k1 - k0, self.offloads, 0.0, memoryview(self.generated)[k0:k1])
+        propagation = memoryview(self.propagation)[lo:hi]
+        return (pre, transfer, propagation, map(sub, memoryview(self.start)[lo:hi], map(add, origin, propagation)),
                 itertools.chain.from_iterable(itertools.repeat(self.service, k1 - k0)))
+
+    def completions(self, k0: int, k1: int) -> Iterator[float]:
+        """Each element's start plus its service in rounds ``k0`` up to ``k1``: its completion where done."""
+        services = itertools.chain.from_iterable(itertools.repeat(self.service, k1 - k0))
+        return map(add, memoryview(self.start)[k0 * len(self.sources):k1 * len(self.sources)], services)
 
     def rows(self) -> Iterator[tuple]:
         """ElementRecord fields of every element, in generation order; the
         service and completion of an element not done are 0.0 and None."""
-        values = zip(*self.components(0, len(self.generated)), self.completed, self.phase)
+        values = zip(*self.components(0, len(self.generated)), self.completions(0, len(self.generated)), self.phase)
         for index, generated in enumerate(self.generated):
             for source, worker in self.sources:
                 pre, transfer, propagation, wait, service, end, code = next(values)
@@ -183,14 +193,15 @@ class _Columns:
                 yield (source, worker, index, generated, pre, transfer, propagation, wait, *shown, PHASES[code])
 
 
-def _spread(by_round: Iterable, rounds: int, offloads: bytes, zero) -> Iterator:
-    """``rounds`` rounds of an item per rank: the round's item of ``by_round``
-    (``zero`` past its end) where the rank's source offloads, else ``zero``,
-    repeated over each run of ranks with the same flag."""
+def _spread(by_round: Iterable, rounds: int, offloads: bytes, zero, local: Iterable | None = None) -> Iterator:
+    """``rounds`` rounds of an item per rank: the round's item of ``by_round`` (``zero`` past
+    its end) where the rank's source offloads, else the round's item of ``local`` (``zero``
+    without), repeated over each run of ranks with the same flag."""
     runs = [(flag, len(list(ranks))) for flag, ranks in itertools.groupby(offloads)]
     padded = itertools.islice(itertools.chain(by_round, itertools.repeat(zero)), rounds)
-    return itertools.chain.from_iterable(itertools.repeat((zero, value)[flag], length)
-                                         for value in padded for flag, length in runs)
+    own = itertools.repeat(zero) if local is None else local
+    return itertools.chain.from_iterable(itertools.repeat((mine, value)[flag], length)
+                                         for value, mine in zip(padded, own) for flag, length in runs)
 
 
 @dataclass
@@ -295,13 +306,14 @@ def _truncated_normal(uniform: Callable[[], float], mu: float, sigma: float, cou
     return values
 
 
-def _fifo(arrivals: Sequence[float], cores: int, s: float, duration: float) -> list[float]:
+def _fifo(arrivals: Iterable[float], cores: int, s: float, duration: float) -> array:
     """Start times of a ``cores``-server FIFO with service time ``s``, in
-    arrival order, for ``arrivals`` that never decrease:
+    arrival order, for ``arrivals`` that never decrease, read as needed:
     ``start_i = max(a_i, start_{i-cores} + s)``.  Starts never decrease
-    either, so the list ends before the first start after ``duration``."""
-    starts = [a for a in arrivals[:cores] if a <= duration]
-    for a, earlier in zip(arrivals[cores:], starts):
+    either, so the ``array('d')`` ends before the first start after ``duration``."""
+    arrivals = iter(arrivals)
+    starts = array("d", [a for a in itertools.islice(arrivals, cores) if a <= duration])
+    for a, earlier in zip(arrivals, starts):
         free = earlier + s
         if free > a:
             a = free
@@ -311,41 +323,42 @@ def _fifo(arrivals: Sequence[float], cores: int, s: float, duration: float) -> l
     return starts
 
 
-def _offload(columns: _Columns, arrival: array, pre_s: float, cores: int, link: Link, workload: WorkloadProfile,
+def _offload(columns: _Columns, pre_s: float, cores: int, link: Link, workload: WorkloadProfile,
              duration: float, seed: int) -> None:
     """Endpoint CPU, link and propagation of the offloaded sources' elements:
-    record each round's preprocess and transfer, each element's propagation
-    and phase, and set their arrival times."""
+    record when each round was preprocessed and sent, each element's
+    propagation and phase, and park their arrival times in ``columns.start``."""
     g, n_sources = columns.generated, len(columns.sources)
     offloaded = list(itertools.compress(range(n_sources), columns.offloads))
     ser_s = workload.element_size / link.throughput_mbit
     # the finish times within the run: endpoint CPU on the endpoint's cores, then the link
-    prepared = [d for d in (start + pre_s for start in _fifo(g, cores, pre_s, duration)) if d <= duration]
-    sent = [x for x in (start + ser_s for start in _fifo(prepared, 1, ser_s, duration)) if x <= duration]
+    within = partial(ge, duration)
+    prepared = array("d", filter(within, map(add, _fifo(g, cores, pre_s, duration), itertools.repeat(pre_s))))
+    sent = array("d", filter(within, map(add, _fifo(prepared, 1, ser_s, duration), itertools.repeat(ser_s))))
+    columns.prepared, columns.sent = prepared, sent
     n_pre, n_sent = len(prepared) * n_sources, len(sent) * n_sources
-    columns.preprocess = array("d", [d - gk for d, gk in zip(prepared, g)])
-    columns.transfer = array("d", [x - d for x, d in zip(sent, prepared)])
     transferring, in_transit = bytes([_TRANSFER]) * len(prepared), bytes([_TRANSIT]) * len(sent)
     for rank in offloaded:
         columns.phase[rank:n_pre:n_sources] = transferring
         columns.phase[rank:n_sent:n_sources] = in_transit
 
     avg_s, sd_s = link.latency_avg_ms / 1000.0, link.latency_sd_ms / 1000.0
-    uniform, propagation = random.Random(seed).random, columns.propagation
+    uniform, propagation, start = random.Random(seed).random, columns.propagation, columns.start
     m = len(offloaded)
     for k, x in enumerate(sent):  # in transmit order: round, then rank
         base = k * n_sources
         delays = [avg_s] * m if sd_s == 0 else _truncated_normal(uniform, avg_s, sd_s, m)
         for rank, value in zip(offloaded, delays):
             propagation[base + rank] = value
-            arrival[base + rank] = x + value
+            start[base + rank] = x + value
 
 
-def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: float,
+def _serve(columns: _Columns, order: Sequence[int], cores: int, s: float,
            duration: float, warmup: float) -> tuple[int, float]:
-    """Pass one worker's arrivals, in ``order``, through its cores; record
-    each element's wait, completion and phase.  Returns the number of
-    arrivals from warmup on and the core-seconds spent after warmup.
+    """Pass one worker's elements through its cores by the arrivals parked in
+    ``columns.start``, ties in ``order``'s order (stably sorted in place where out of
+    arrival order); write each started element's start over its arrival and each
+    element's phase.  Returns the arrivals from warmup on and the core-seconds after warmup.
 
     Starts, and so finishes, never decrease, and at most ``cores`` elements
     are in service at any time, so the elements done are the started ones
@@ -359,31 +372,32 @@ def _serve(columns: _Columns, order: list[int], arrival: array, cores: int, s: f
     order, and the sum keeps its bits."""
     if not order:  # an idle worker, as every worker of a run at rate 0
         return 0, 0.0
-    phase, completed, queue_wait = columns.phase, columns.completed, columns.queue_wait
-    arrivals = list(map(arrival.__getitem__, order))
-    starts = _fifo(arrivals, cores, s, duration)
+    phase, start = columns.phase, columns.start
+    if not all(map(le, map(start.__getitem__, order), itertools.islice(map(start.__getitem__, order), 1, None))):
+        order.sort(key=start.__getitem__)
+    arrived = len(order) - bisect.bisect_left(order, warmup, key=start.__getitem__)
+    starts = _fifo(map(start.__getitem__, order), cores, s, duration)
     done = len(starts)
     while done and starts[done - 1] + s > duration:  # at most `cores` steps
         done -= 1
-    for e, a, start in zip(order, arrivals, itertools.islice(starts, done)):
-        queue_wait[e] = start - a
+    for e, t in zip(order, itertools.islice(starts, done)):
+        start[e] = t
         phase[e] = _DONE
-        completed[e] = start + s
     early = min(bisect.bisect_left(starts, warmup), done)  # the done elements started before warmup
     ends = map(add, starts, itertools.repeat(s))  # the done elements' finishes, read by the two passes in turn
     overlaps = map(sub, itertools.islice(ends, early), itertools.repeat(warmup))
     busy = reduce(add, filter(partial(lt, 0.0), overlaps), 0.0)  # the positive ones
     busy = reduce(add, map(sub, itertools.islice(ends, done - early), itertools.islice(starts, early, done)), busy)
     for i in range(done, len(starts)):  # in service at the end
-        e, start = order[i], starts[i]
-        queue_wait[e] = start - arrivals[i]
+        e, t = order[i], starts[i]
+        start[e] = t
         phase[e] = _SERVICE
-        overlap = duration - max(start, warmup)
+        overlap = duration - max(t, warmup)
         if overlap > 0:
             busy += overlap
     for e in order[len(starts):]:
         phase[e] = _QUEUED
-    return len(order) - bisect.bisect_left(arrivals, warmup), busy
+    return arrived, busy
 
 
 def _end_to_end(pre: Iterable[float], transfer: Iterable[float], propagation: Iterable[float],
@@ -503,38 +517,38 @@ def simulate(topology: Topology, workload: WorkloadProfile, params: SimParams) -
     g = _generation_times(rate, duration, params.max_elements) if n_sources else array("d")
     n = len(g) * n_sources
     columns = _Columns(sources, offloads, array("d", [0.0]) * n_sources, g, array("d"), array("d"),
-                       array("d", [0.0]) * n, array("d", [0.0]) * n, array("d", [math.nan]) * n, bytearray(n))
-    arrival = array("d", [math.inf]) * n
+                       array("d", [0.0]) * n, array("d", [0.0]) * n, bytearray(n))
     if 1 in offloads:
-        _offload(columns, arrival, pre_s, endpoint_cores, topology.worker_link, workload, duration, params.seed)
+        _offload(columns, pre_s, endpoint_cores, topology.worker_link, workload, duration, params.seed)
 
-    window = duration - warmup
+    window, start = duration - warmup, columns.start
     worker_load, worker_busy = {}, {}  # by worker id, in sorted order
     for worker, proc in workers:
         assigned = ranks[worker.id]
-        if assigned and sources[assigned[0]][0] == worker.id:
-            arrival[assigned[0]::n_sources] = g  # its own elements arrive as generated
-        order = [base + rank for base in range(0, n, n_sources or 1) for rank in assigned  # n is 0 without sources
-                 if arrival[base + rank] <= duration]
-        order.sort(key=arrival.__getitem__)  # stable: ties stay in transmit order
+        if assigned and sources[assigned[0]][0] == worker.id:  # its own elements arrive as generated, in order
+            start[assigned[0]::n_sources] = g
+            order = range(assigned[0], n, n_sources)
+        else:  # the elements sent within the run that arrive within it, in transmit order
+            order = [base + rank for base in range(0, len(columns.sent) * n_sources, n_sources or 1)
+                     for rank in assigned if start[base + rank] <= duration]
         s = proc / worker.quota
         for rank in assigned:
             columns.service[rank] = s
-        arrived, busy = _serve(columns, order, arrival, worker.cores, s, duration, warmup)
+        arrived, busy = _serve(columns, order, worker.cores, s, duration, warmup)
         worker_load[worker.id] = arrived * float(proc) / window / capacity_of(worker) * 100.0
         worker_busy[worker.id] = busy / (window * worker.cores)
-    del arrival
+    del order  # the last worker's, an int per element
 
     phase_counts = {p: columns.phase.count(code) for code, p in enumerate(PHASES)}
     early = bisect.bisect_left(g, warmup)  # rounds generated before warmup
     warming = early * n_sources  # elements generated before warmup
-    # an element completes after it is generated, so only those generated
-    # before warmup can complete before it; NaN compares false
-    completed_early = sum(map(lt, memoryview(columns.completed)[:warming], itertools.repeat(warmup)))
+    done = memoryview(columns.phase.translate(_IS_DONE))
+    # an element completes after it is generated, so only those generated before warmup can complete before it
+    completed_early = sum(itertools.compress(map(lt, columns.completions(0, early), itertools.repeat(warmup)), done))
     completed_in_window = phase_counts["done"] - completed_early
 
     # the measured elements, done and generated from warmup on; components read twice, for latencies and means
-    measured = memoryview(columns.phase.translate(_IS_DONE))[warming:]
+    measured = done[warming:]
     n_measured = columns.phase.count(_DONE, warming)
     latencies = _end_to_end(*columns.components(early, len(g)))
     pre, transfer, propagation, queue_wait, service = columns.components(early, len(g))
@@ -580,12 +594,13 @@ def _format_rounds(columns: _Columns, prefixes: list[str], services: list[str], 
     lo, hi = k0 * len(prefixes), k1 * len(prefixes)
     codes = columns.phase[lo:hi]
     pre, tx, prop, wait, svc = columns.components(k0, k1)
+    wait = list(wait)  # read twice, into the sums and as text
     sums = _end_to_end(pre, tx, prop, wait, svc)
     total = ["" if code != _DONE else repr(value) for value, code in zip(sums, codes)]
-    completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completed[lo:hi], codes)]
+    completed = ["" if code != _DONE else repr(end) for end, code in zip(columns.completions(k0, k1), codes)]
     service = ["0.0" if code != _DONE else text for text, code in zip(itertools.cycle(services), codes)]
-    pre_text, tx_text = (_spread(map(repr, by_round[k0:k1]), k1 - k0, columns.offloads, "0.0")
-                         for by_round in (columns.preprocess, columns.transfer))  # each round's text formatted once
+    pre_text, tx_text = (_spread(map(repr, map(sub, t1[k0:k1], t0[k0:k1])), k1 - k0, columns.offloads, "0.0")
+                         for t1, t0 in ((columns.prepared, columns.generated), (columns.sent, columns.prepared)))
     rows = zip(prefixes * len(heads), [head for head in heads for _ in prefixes], pre_text, tx_text, map(repr, prop),
                map(repr, wait), service, total, completed, map(PHASES.__getitem__, codes))
     return "\r\n".join([*map(",".join, rows), ""])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from datetime import datetime, timezone
 from pathlib import Path
 
 import jsonschema
@@ -241,16 +242,17 @@ class TestHeatmap:
         the modules it runs; every needless import adds its time and memory
         to the command.  The latency sd comes from exact integer sums, so a
         run on finite values loads neither ``statistics`` nor the
-        ``fractions`` and ``decimal`` it imports."""
+        ``fractions`` and ``decimal`` it imports.  The manifest's timestamp
+        comes from ``time``, so no command loads ``datetime``."""
         exact = ["statistics", "fractions", "decimal"]
         cases = [
-            (["heatmap", "--json", "--resolution", "3"], ["numpy", "tierplan.simulator", "statistics"]),
-            (["simulate", "cloud", "--duration", "40", "--json"], ["numpy", "tierplan.analytic", *exact]),
-            (["compare", "cloud", "mist", "--repeats", "2", "--duration", "2"], ["numpy", *exact]),
+            (["heatmap", "--json", "--resolution", "3"], ["numpy", "tierplan.simulator", "statistics", "datetime"]),
+            (["simulate", "cloud", "--duration", "40", "--json"], ["numpy", "tierplan.analytic", *exact, "datetime"]),
+            (["compare", "cloud", "mist", "--repeats", "2", "--duration", "2"], ["numpy", *exact, "datetime"]),
             (["simulate", "cloud", "--rate", "0", "--duration", "2", "--json"],
-             ["numpy", "tierplan.analytic", "statistics"]),
+             ["numpy", "tierplan.analytic", "statistics", "datetime"]),
             (["compare", "cloud", "mist", "--rate", "0", "--repeats", "2", "--duration", "2", "--json"],
-             ["numpy", "statistics"]),
+             ["numpy", "statistics", "datetime"]),
         ]
         package_root = str(Path(tierplan.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
@@ -334,6 +336,16 @@ class TestSimulate:
         a, b = first["manifest"], second["manifest"]
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
+
+    def test_timestamp_is_utc_to_the_second(self, capsys):
+        """The manifest's timestamp is ``datetime``'s ISO 8601 text for UTC to
+        the second, taken during the run."""
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        stamp = run_json(capsys, "simulate", "edge-small", "--duration", "2")["manifest"]["timestamp"]
+        after = datetime.now(timezone.utc)
+        assert datetime.fromisoformat(stamp).isoformat(timespec="seconds") == stamp
+        assert stamp.endswith("+00:00")
+        assert before <= datetime.fromisoformat(stamp) <= after
 
     def test_viable_preprocessing_on_two_cores_keeps_the_backlog_bounded(self, capsys):
         # mist endpoints have 2 cores at quota 0.5: 0.75 of 1.0 core-s/s

@@ -29,6 +29,13 @@ rate other than the default 5 Hz, and ``compare`` over all four presets
 with three repeats, whose rows average ``simulate`` reports.  They were
 recorded before each command took its topology, workload and manifest
 record from one call.
+
+Three more ``simulate`` runs, each with ``--seed 811 --json --trace``,
+pin the report and the trace of runs that end with elements queued, in
+service, in transit, in preprocess and in transfer: edge-small with a
+slower edge, mist with a long preprocessing time and cloud cut off at
+7.92 s.  They were recorded before an element kept one start time in
+place of its queue wait, completion and arrival.
 """
 
 from __future__ import annotations
@@ -69,20 +76,41 @@ ANALYTIC_GOLDEN = {
 }
 
 
+PHASES_GOLDEN = {
+    ("simulate", "edge-small", "--tproc", "edge=0.16", "--duration", "8"):
+        ("dbd6a07fe0190c579c1833bdefdcbe6a0ab9e1bcf142b1b02f4bd6632fbc25e6",
+         "59705be9e4d8f78240698f0afd1aa4d5d346cb009632f8d5f0b66dc828ccd785"),
+    ("simulate", "mist", "--tpre", "0.3", "--duration", "8"):
+        ("dba3c8872cd07497d2bf5296549a9c871893e887efec71af31416adf2df2d14d",
+         "83c22d1b3a504440b3df95c1c6945d4af4bf043578aa2d1c2edc7f91d4e2be84"),
+    ("simulate", "cloud", "--duration", "7.92"):
+        ("49cf80320a1f3dec15eef3102ab684ceccf2fe0c702a2b85653426077d994397",
+         "48af092e90e78bad65e04b608c999b66757a09d944f053297c9a0af598692f01"),
+}
+
+
 def _body_digest(out: str) -> str:
     payload = json.loads(out)
     body = {key: value for key, value in payload.items() if key != "manifest"}
     return hashlib.sha256(json.dumps(body, indent=2, sort_keys=True).encode()).hexdigest()
 
 
+def _simulate_digests(argv: list[str], capsys, tmp_path) -> tuple[str, str]:
+    """The report and trace digests of ``simulate`` run with ``argv`` and ``--json --trace``."""
+    trace = tmp_path / "trace.csv"
+    assert main([*argv, "--json", "--trace", str(trace)]) == EXIT_OK
+    return _body_digest(capsys.readouterr().out), hashlib.sha256(trace.read_bytes().partition(b"\n")[2]).hexdigest()
+
+
 @pytest.mark.parametrize("preset", sorted(GOLDEN))
 def test_simulate_output_is_unchanged(preset, capsys, tmp_path):
-    trace = tmp_path / "trace.csv"
-    code = main(["simulate", preset, "--duration", "8", "--seed", "811", "--json", "--trace", str(trace)])
-    assert code == EXIT_OK
-    report_digest = _body_digest(capsys.readouterr().out)
-    trace_digest = hashlib.sha256(trace.read_bytes().partition(b"\n")[2]).hexdigest()
-    assert (report_digest, trace_digest) == GOLDEN[preset]
+    argv = ["simulate", preset, "--duration", "8", "--seed", "811"]
+    assert _simulate_digests(argv, capsys, tmp_path) == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("argv", sorted(PHASES_GOLDEN), ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_runs_ending_in_every_phase_are_unchanged(argv, capsys, tmp_path):
+    assert _simulate_digests([*argv, "--seed", "811"], capsys, tmp_path) == PHASES_GOLDEN[argv]
 
 
 @pytest.mark.parametrize("argv", sorted(ANALYTIC_GOLDEN), ids=lambda argv: "-".join(a.lstrip("-") for a in argv if a != "--json"))

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import math
+import operator
 import os
 import statistics
 import threading
@@ -21,6 +22,7 @@ from tierplan import simulator
 from tierplan.analytic import offload_viability
 from tierplan.config import parse_config
 from tierplan.simulator import (
+    _DONE,
     PHASES,
     SimParams,
     _generation_times,
@@ -546,26 +548,37 @@ class TestForkedSummary:
 
 
 def _served(function, arrivals: list[float], cores: int, s: float, duration: float, warmup: float) -> tuple:
-    """What ``function``, ``_serve`` or its oracle, writes and returns for
-    one worker whose elements arrive at ``arrivals`` (sorted): its elements
-    have the odd ids, the first to arrive the highest, and the even ids
-    belong to elements it does not serve."""
+    """The waits, completions and phases that ``function``, ``_serve`` or its
+    oracle, gives, and what it returns, for one worker whose elements arrive
+    at ``arrivals`` (sorted): its elements have the odd ids, the first to
+    arrive the highest, and the even ids belong to elements it does not
+    serve.  The oracle writes waits and completions; ``_serve`` writes
+    starts over the arrivals parked in ``columns.start``, mapped back here
+    as ``simulate``'s columns map them: wait ``start - arrival`` and
+    completion ``start + s`` where done."""
     arrivals = [a for a in arrivals if a <= duration]  # as simulate builds a worker's order
     n = 2 * len(arrivals) + 1
     order = [2 * (len(arrivals) - i) - 1 for i in range(len(arrivals))]  # odd ids, last first
     arrival = array("d", [math.inf]) * n
     for e, a in zip(order, arrivals):
         arrival[e] = a
-    columns = SimpleNamespace(phase=bytearray(n), completed=array("d", [math.nan]) * n,
-                              queue_wait=array("d", [0.0]) * n)
-    arrived, busy = function(columns, order, arrival, cores, s, duration, warmup)
-    return ([x.hex() for x in columns.queue_wait], [x.hex() for x in columns.completed], bytes(columns.phase),
-            arrived, busy.hex())
+    if function is serve:
+        columns = SimpleNamespace(phase=bytearray(n), completed=array("d", [math.nan]) * n,
+                                  queue_wait=array("d", [0.0]) * n)
+        arrived, busy = function(columns, order, arrival, cores, s, duration, warmup)
+        waits, completed = columns.queue_wait, columns.completed
+    else:
+        parked = array("d", [a if a != math.inf else 0.0 for a in arrival])  # 0.0 where not served
+        columns = SimpleNamespace(phase=bytearray(n), start=array("d", parked))
+        arrived, busy = function(columns, list(order), cores, s, duration, warmup)
+        waits = list(map(operator.sub, columns.start, parked))
+        completed = [t + s if code == _DONE else math.nan for t, code in zip(columns.start, columns.phase)]
+    return ([x.hex() for x in waits], [x.hex() for x in completed], bytes(columns.phase), arrived, busy.hex())
 
 
 class TestServe:
-    """``_serve`` writes each element's wait, completion and phase and
-    returns the arrivals and busy time of the per-element loop it
+    """``_serve`` gives each element the wait, completion and phase, and
+    returns the arrivals and busy time, of the per-element loop it
     replaced (``tests/serve_oracle.py``), bit for bit."""
 
     @settings(max_examples=300, deadline=None)
@@ -733,14 +746,14 @@ def summary_path(monkeypatch, fork: bool):
 
 
 def columns_stay_small_per_element():
-    """Only propagation, queue wait, completion time and phase are kept per
-    element, as typed arrays: simulating 80,040 elements peaks under 50
-    bytes per element, and the report keeps under 36."""
+    """Only propagation, start time and phase are kept per element, as
+    typed arrays: simulating 80,040 elements peaks under 30 bytes per
+    element (about 27), and the report keeps under 20 (about 18)."""
     report, peak, retained = traced_bytes_per_element(build_topology(load_preset("cloud")),
                                                       SimParams(duration=400.0, seed=1))
     assert report.generated == 80_040
-    assert peak < 50
-    assert retained < 36
+    assert peak < 30
+    assert retained < 20
 
 
 def test_columns_stay_small_per_element(monkeypatch):
@@ -755,14 +768,14 @@ def test_columns_stay_small_per_element_in_process(monkeypatch):
 
 def columns_stay_small_with_many_sources():
     """Service times are kept per source and expanded without a copy: 1,000
-    sources for 5 rounds peak under 86 bytes per element (an
-    ``itertools.cycle`` over the per-source times peaks at about 89) and keep
-    under 54."""
+    sources for 5 rounds peak under 78 bytes per element and keep under 50
+    (about 58 to 73 and 31 to 46, with what the process allocated before;
+    an ``itertools.cycle`` over the per-source times adds about 7)."""
     config = dataclasses.replace(load_preset("edge-large"), devices_per_tier=(1, 250, 1000))
     report, peak, retained = traced_bytes_per_element(build_topology(config), SimParams(duration=1.0, seed=1))
     assert report.generated == 5_000
-    assert peak < 86
-    assert retained < 54
+    assert peak < 78
+    assert retained < 50
 
 
 def test_columns_stay_small_with_many_sources(monkeypatch):
@@ -776,15 +789,19 @@ def test_columns_stay_small_with_many_sources_in_process(monkeypatch):
 
 
 @pytest.mark.parametrize(("topology", "peak_bound", "kept_bound"), [
-    (local_topology(1, quota=1.0), 134, 36),
-    (local_topology(1, quota=0.5), 155, 36),
-    (build_topology(parse_config(ONE_WORKER_OFFLOAD_CONFIG)), 159, 52),
+    (local_topology(1, quota=1.0), 40, 28),
+    (local_topology(1, quota=0.5), 40, 28),
+    (build_topology(parse_config(ONE_WORKER_OFFLOAD_CONFIG)), 95, 46),
 ], ids=["local", "local-overloaded", "offload"])
 def test_columns_of_one_source(topology, peak_bound, kept_bound):
-    """One source's worker holds its order, arrivals and starts as Python
-    lists, one item per element: 20,001 elements peak at about 131 bytes per
-    element (local), 152 (local, where every start waits, so each is a new
-    float) and 155 (one offloading endpoint), and keep about 34 to 50."""
+    """A worker holds its starts as an ``array('d')``.  A self-served source's
+    worker walks its elements as a ``range``, already in arrival order, so
+    20,001 elements peak at about 37 bytes per element (local) and 36
+    (local, where every start waits) and keep about 26.  One offloading
+    endpoint's worker holds its order as a list of ints, left unsorted where
+    it is in arrival order already, and with one source each round's
+    generation, preprocess end and send is 24 bytes per element: it peaks at
+    about 91 and keeps about 42."""
     report, peak, retained = traced_bytes_per_element(topology, SimParams(duration=4000.0, seed=1))
     assert report.generated == 20_001
     assert peak < peak_bound

@@ -139,13 +139,14 @@ class TestSplitAcrossTwoProcesses:
     def test_several_chunks_match_the_oracle(self, path, forks, monkeypatch, tmp_path):
         if path == "in-process":
             monkeypatch.delattr(os, "fork")
-        # 500 rounds of 20 endpoints: five chunks of 100 rounds
+        # 500 rounds of 20 endpoints: twenty chunks of 25 rounds
         assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=100.0, seed=4))
         assert len(forks) == (path == "fork")
         assert_no_child_left(tmp_path)
 
     def test_one_chunk_is_formatted_in_process(self, forks):
-        assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=10.0, seed=4))
+        # 20 rounds of 20 endpoints: one chunk of 400 rows
+        assert_same_bytes(build_topology(load_preset("edge-small")), OVERLOAD, SimParams(duration=4.0, seed=4))
         assert forks == []
 
     def test_odd_ids_survive_the_child(self, forks):
@@ -153,7 +154,7 @@ class TestSplitAcrossTwoProcesses:
         topology = Topology(
             (Device("a,b", "edge", 1, 1.0, "worker"), *(Device(i, "endpoint", 1, 0.5, "source") for i in sources)),
             Link(tier_pair("edge", "endpoint"), 20.0, 30.0, 8.0), {"a,b": sources})
-        # 1,001 rounds of 5 endpoints: three chunks of 400 rounds
+        # 1,001 rounds of 5 endpoints: eleven chunks of 100 rounds
         assert_same_bytes(topology, WorkloadProfile({"edge": 0.3}, 0.001, 5.0, 0.54),
                           SimParams(duration=200.0, seed=5))
         assert len(forks) == 1
@@ -226,8 +227,9 @@ class _Sink:
 
 
 def test_writer_memory_is_bounded_by_a_chunk():
-    """The trace is written in chunks: writing a 12 MB trace peaks at a small
-    fraction of it."""
+    """The trace is written in chunks of about 500 rows: writing a 12.6 MB
+    trace peaks at about 0.3 MiB in this process (1.05 MiB with chunks of
+    2,000 rows)."""
     report = simulate(build_topology(load_preset("cloud")), DEFAULT_WORKLOAD, SimParams(duration=400.0, seed=1))
     sink = _Sink()
     tracemalloc.start()
@@ -237,7 +239,7 @@ def test_writer_memory_is_bounded_by_a_chunk():
     finally:
         tracemalloc.stop()
     assert sink.size > 10_000_000
-    assert peak < 2 * 2**20
+    assert peak < 2**19
 
 
 class TestTruncatedNormal:
